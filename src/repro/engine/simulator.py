@@ -8,6 +8,8 @@ an event heap, a current time, and a run loop with step/time limits.
 
 from __future__ import annotations
 
+from heapq import heappop, heappush
+from math import inf
 from typing import Any, Callable, Optional
 
 from .events import Event, EventQueue
@@ -31,9 +33,11 @@ class Simulator:
 
     def __init__(self) -> None:
         self._queue = EventQueue()
+        # The hot path pushes onto the queue's heap directly.
+        self._heap = self._queue._heap
+        self._next_seq = self._queue._counter.__next__
         self._now = 0.0
         self._events_processed = 0
-        self._running = False
         self._stop_requested = False
 
     # ------------------------------------------------------------------
@@ -47,6 +51,7 @@ class Simulator:
 
     @property
     def events_processed(self) -> int:
+        """Events fired so far; a :meth:`run` adds its count on return."""
         return self._events_processed
 
     @property
@@ -59,15 +64,21 @@ class Simulator:
         if time < self._now:
             raise SimulationError(
                 f"cannot schedule at {time} ns; now is {self._now} ns")
-        return self._queue.push(time, action, priority=priority, tag=tag)
+        seq = self._next_seq()
+        event = Event(time, priority, seq, action, tag)
+        heappush(self._heap, (time, priority, seq, event))
+        return event
 
     def after(self, delay: float, action: Callable[[], None],
               priority: int = 0, tag: Any = None) -> Event:
         """Schedule ``action`` ``delay`` ns from now."""
         if delay < 0:
             raise SimulationError(f"negative delay {delay}")
-        return self._queue.push(self._now + delay, action,
-                                priority=priority, tag=tag)
+        time = self._now + delay
+        seq = self._next_seq()
+        event = Event(time, priority, seq, action, tag)
+        heappush(self._heap, (time, priority, seq, event))
+        return event
 
     # ------------------------------------------------------------------
     # Run loop.
@@ -87,25 +98,40 @@ class Simulator:
             max_events: Optional[int] = None) -> float:
         """Run until the queue drains, ``until`` is reached, or event budget.
 
+        An event at exactly ``until`` fires; when the next live event lies
+        beyond it, the clock stops at ``until``.  ``until`` before
+        :attr:`now` raises :class:`SimulationError`: the clock never runs
+        backwards.  Cancelled events are dropped uncounted.
+
         Returns the simulation time when the loop stopped.
         """
-        self._running = True
-        self._stop_requested = False
+        if until is not None and until < self._now:
+            raise SimulationError(
+                f"cannot run until {until} ns; now is {self._now} ns")
+        heap = self._heap
+        horizon = inf if until is None else until
+        budget = -1 if max_events is None else max(max_events, 0)
         processed = 0
+        self._stop_requested = False
         try:
-            while not self._stop_requested:
-                next_time = self._queue.peek_time()
-                if next_time is None:
-                    break
-                if until is not None and next_time > until:
+            while heap and not self._stop_requested:
+                entry = heappop(heap)
+                event = entry[3]
+                if event.cancelled:
+                    continue
+                time = entry[0]
+                if time > horizon:
+                    heappush(heap, entry)
                     self._now = until
                     break
-                if max_events is not None and processed >= max_events:
+                if processed == budget:
+                    heappush(heap, entry)
                     break
-                self.step()
+                self._now = time
                 processed += 1
+                event.action()
         finally:
-            self._running = False
+            self._events_processed += processed
         return self._now
 
     def run_until_idle(self, max_events: int = 50_000_000) -> float:

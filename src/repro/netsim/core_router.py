@@ -11,13 +11,14 @@ The simulator composes the three sub-router roles into one
 :class:`CoreRouter` object per tile and charges the published per-hop
 cycle counts based on the traversal direction, so event cost stays at one
 event per tile-hop while the architecture (and its latencies) match the
-paper.
+paper.  The charge per arrival port comes from a table shared by every
+router built with the same :class:`~repro.netsim.params.LatencyParams`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Tuple
+from functools import lru_cache
+from typing import Callable, Dict, Mapping, Optional, Tuple
 
 from ..engine.simulator import Simulator
 from .fabric import FabricError, Link, Router
@@ -36,12 +37,20 @@ def core_vc(packet: Packet) -> int:
     return CORE_VC_REQUEST
 
 
-@dataclass(frozen=True)
-class SubRouterSpec:
-    """Latency role of one Core Router sub-router (URTR/VRTR/TRTR)."""
+@lru_cache(maxsize=16)
+def _pipeline_table(params: LatencyParams) -> Mapping[str, float]:
+    """Pipeline charge (ns) per Core Router arrival port; read-only.
 
-    name: str
-    hop_cycles: int
+    A packet arriving along U crosses the URTR, along V a VRTR, from a GC
+    the TRTR, and from the edge the Row Adapter crossing.  One table per
+    ``params`` is shared by every router, so the 36,864 routers of a
+    4x4x8 machine hold a reference each, not a table each.
+    """
+    u = params.cycles(params.core_u_cycles)
+    v = params.cycles(params.core_v_cycles)
+    return {"U+": u, "U-": u, "V+": v, "V-": v,
+            "inject": params.cycles(params.trtr_cycles),
+            "RA": params.cycles(params.ra_cycles)}
 
 
 class CoreRouter(Router):
@@ -62,22 +71,14 @@ class CoreRouter(Router):
         self.u = u
         self.v = v
         self._chip = chip
-        self._params = params
-        self.urtr = SubRouterSpec("URTR", params.core_u_cycles)
-        self.vrtr = SubRouterSpec("VRTR", params.core_v_cycles)
-        self.trtr = SubRouterSpec("TRTR", params.trtr_cycles)
+        self._pipeline = _pipeline_table(params)
 
     def pipeline_ns(self, packet: Packet, in_port: str) -> float:
-        params = self._params
-        if in_port.startswith("U"):
-            return params.cycles(self.urtr.hop_cycles)
-        if in_port.startswith("V"):
-            return params.cycles(self.vrtr.hop_cycles)
-        if in_port == "inject":
-            return params.cycles(self.trtr.hop_cycles)
-        if in_port == "RA":
-            return params.cycles(params.ra_cycles)
-        raise FabricError(f"{self.name}: unknown in_port {in_port}")
+        try:
+            return self._pipeline[in_port]
+        except KeyError:
+            raise FabricError(
+                f"{self.name}: unknown in_port {in_port}") from None
 
     def route(self, packet: Packet, vc: int,
               in_port: str) -> Tuple[str, str, Optional[int]]:

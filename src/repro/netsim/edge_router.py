@@ -256,8 +256,6 @@ class EdgeNetwork:
 
 
 def _edge_deliver(neighbor: EdgeRouter, direction: str):
-    opposite = {"E": "E", "W": "W", "N": "N", "S": "S"}[direction]
-
     def deliver(packet: Packet, vc: int, link: Link) -> None:
-        neighbor.receive(packet, vc, opposite, link)
+        neighbor.receive(packet, vc, direction, link)
     return deliver

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Deque, Dict, List, Optional, Tuple
 
 from ..engine.simulator import Simulator
@@ -26,10 +27,9 @@ class FabricError(RuntimeError):
     """Raised on wiring or routing bugs."""
 
 
-@dataclass
+@dataclass(slots=True)
 class _QueuedSend:
     packet: Packet
-    vc: int
     on_accept: Optional[Callable[[], None]]
 
 
@@ -51,6 +51,11 @@ class Link:
         vcs: Number of virtual channels.
         credit_flits: Input-queue depth per VC at the receiver.
     """
+
+    __slots__ = ("_sim", "name", "latency_ns", "ser_ns_per_flit", "vcs",
+                 "_credits", "_deliver", "_busy_until", "_queues",
+                 "_next_vc", "failed", "_dead_vcs", "packets_sent",
+                 "flits_sent", "packets_sent_by_vc", "busy_ns", "monitor")
 
     def __init__(self, sim: Simulator, name: str, latency_ns: float,
                  ser_ns_per_flit: float, vcs: int, credit_flits: int,
@@ -81,7 +86,7 @@ class Link:
         """Queue ``packet`` for transmission on ``vc``."""
         if not 0 <= vc < self.vcs:
             raise FabricError(f"{self.name}: VC {vc} out of range")
-        self._queues[vc].append(_QueuedSend(packet, vc, on_accept))
+        self._queues[vc].append(_QueuedSend(packet, on_accept))
         if self.monitor is not None:
             self.monitor.on_enqueue(self._sim.now, packet, vc)
         self._dispatch()
@@ -89,17 +94,27 @@ class Link:
     def return_credits(self, vc: int, flits: int) -> None:
         """Downstream freed input-queue space; retry blocked sends."""
         self._credits[vc] += flits
-        self._dispatch()
+        # With nothing queued there is nothing to send and no stall to
+        # report, so the dispatch would be a no-op.
+        if any(self._queues):
+            self._dispatch()
 
     def _eligible_vc(self) -> Optional[int]:
         """The next VC (round-robin) whose head packet has credits."""
-        for offset in range(self.vcs):
-            vc = (self._next_vc + offset) % self.vcs
-            if vc in self._dead_vcs:
-                continue
-            queue = self._queues[vc]
-            if queue and self._credits[vc] >= queue[0].packet.num_flits:
+        queues = self._queues
+        if not any(queues):
+            return None
+        credits = self._credits
+        vcs = self.vcs
+        vc = self._next_vc
+        for __ in range(vcs):
+            queue = queues[vc]
+            if (queue and credits[vc] >= queue[0].packet.num_flits
+                    and vc not in self._dead_vcs):
                 return vc
+            vc += 1
+            if vc == vcs:
+                vc = 0
         return None
 
     def _eligible_count(self) -> int:
@@ -149,27 +164,27 @@ class Link:
                 # Channel busy: retry when it frees.
                 self._sim.at(self._busy_until, self._dispatch)
                 return
-            self._next_vc = (vc + 1) % self.vcs
+            self._next_vc = vc + 1 if vc + 1 < self.vcs else 0
             conflicts = (self._eligible_count() - 1
                          if monitor is not None else 0)
             head = self._queues[vc].popleft()
-            self._credits[vc] -= head.packet.num_flits
-            ser = head.packet.num_flits * self.ser_ns_per_flit
-            start = now
-            self._busy_until = start + ser
+            packet = head.packet
+            flits = packet.num_flits
+            self._credits[vc] -= flits
+            ser = flits * self.ser_ns_per_flit
+            busy_until = now + ser
+            self._busy_until = busy_until
             self.busy_ns += ser
             self.packets_sent += 1
-            self.flits_sent += head.packet.num_flits
+            self.flits_sent += flits
             self.packets_sent_by_vc[vc] += 1
             if head.on_accept is not None:
                 head.on_accept()
-            arrival = self._busy_until + self.latency_ns
-            packet = head.packet
+            arrival = busy_until + self.latency_ns
             if monitor is not None:
-                monitor.on_transmit(start, packet, vc, self._busy_until,
-                                    arrival, conflicts)
-            self._sim.at(arrival, lambda p=packet, v=vc: self._deliver(
-                p, v, self))
+                monitor.on_transmit(now, packet, vc, busy_until, arrival,
+                                    conflicts)
+            self._sim.at(arrival, partial(self._deliver, packet, vc, self))
 
     @property
     def queued(self) -> int:
@@ -229,7 +244,7 @@ class Link:
         return sum(item.packet.num_flits for item in self._queues[vc])
 
 
-@dataclass
+@dataclass(slots=True)
 class _InputRecord:
     """Tracks the upstream link owed credits for a buffered packet."""
 
@@ -297,14 +312,12 @@ class Router:
                 from_link: Optional[Link]) -> None:
         """Entry point for packets from a link or local injection."""
         record = _InputRecord(from_link, vc, packet.num_flits)
-        delay = self.pipeline_ns(packet, in_port)
-        self._sim.after(delay, lambda: self._forward(packet, vc, in_port,
-                                                     record))
+        self._sim.after(self.pipeline_ns(packet, in_port),
+                        partial(self._forward, packet, vc, in_port, record))
 
     def _forward(self, packet: Packet, vc: int, in_port: str,
                  record: _InputRecord) -> None:
         self.packets_routed += 1
-        packet.log_hop(f"{self.name}[{in_port}]")
         target, port, out_vc = self.route(packet, vc, in_port)
         if target == "local":
             record.release()

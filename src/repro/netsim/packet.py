@@ -19,7 +19,7 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 from ..topology.torus import Coord
 
@@ -65,12 +65,12 @@ class CoreAddress:
 _packet_ids = itertools.count()
 
 
-@dataclass
+@dataclass(slots=True)
 class Packet:
     """One network packet in flight.
 
-    Mutable bookkeeping fields (timestamps, hop log) are filled in by the
-    simulator as the packet traverses the machine.
+    Mutable bookkeeping fields (timestamps, hop counts) are filled in by
+    the simulator as the packet traverses the machine.
     """
 
     kind: PacketKind
@@ -105,7 +105,6 @@ class Packet:
     injected_ns: Optional[float] = None
     delivered_ns: Optional[float] = None
     torus_hops_taken: int = 0
-    hop_log: List[str] = field(default_factory=list)
     edge_target: Optional[object] = None  # set by the chip's planners
     # Stable trace identity (repro.observe): (node_id, per-chip sequence)
     # assigned at injection only when the machine is observed.  ``pid``
@@ -140,9 +139,6 @@ class Packet:
         if self.injected_ns is None or self.delivered_ns is None:
             raise RuntimeError("packet has not completed its journey")
         return self.delivered_ns - self.injected_ns
-
-    def log_hop(self, where: str) -> None:
-        self.hop_log.append(where)
 
 
 def request_vc(packet: Packet,

@@ -102,9 +102,3 @@ class TestBookkeeping:
     def test_unique_ids(self):
         ids = {make_packet().pid for __ in range(50)}
         assert len(ids) == 50
-
-    def test_hop_log(self):
-        packet = make_packet()
-        packet.log_hop("core(0,0)")
-        packet.log_hop("ra0")
-        assert packet.hop_log == ["core(0,0)", "ra0"]

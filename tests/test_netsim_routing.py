@@ -35,13 +35,13 @@ class TestIntraNodeDelivery:
         assert gc.sram.counter(5) == 1
         assert packet.torus_hops_taken == 0
 
-    def test_cross_tile_uses_u_then_v(self, machine):
+    def test_cross_tile_uses_u_then_v(self, machine, hop_recorder):
         src = CoreAddress(0, 0, 0)
         dst = CoreAddress(3, 4, 0)
         packet = run_write(machine, (0, 0, 0), src, (0, 0, 0), dst,
                            quad=6)
         # Hop log: all U moves must precede all V moves (U->V DOR).
-        core_hops = [h for h in packet.hop_log if h.startswith("core")]
+        core_hops = [h for h in hop_recorder.hops(packet) if h.startswith("core")]
         vs = [h.split(",")[1].split(")")[0] for h in core_hops]
         v_changed = False
         for a, b in zip(vs, vs[1:]):
@@ -50,21 +50,21 @@ class TestIntraNodeDelivery:
             elif v_changed:
                 pytest.fail(f"U move after V move: {core_hops}")
 
-    def test_intra_node_avoids_edge_network(self, machine):
+    def test_intra_node_avoids_edge_network(self, machine, hop_recorder):
         packet = run_write(machine, (0, 0, 0), CoreAddress(1, 1, 0),
                            (0, 0, 0), CoreAddress(4, 4, 1), quad=7)
-        assert not any("ertr" in h for h in packet.hop_log)
-        assert not any("ca" in h for h in packet.hop_log)
+        assert not any("ertr" in h for h in hop_recorder.hops(packet))
+        assert not any("ca" in h for h in hop_recorder.hops(packet))
 
 
 class TestInterNodeDelivery:
-    def test_neighbor_delivery(self, machine):
+    def test_neighbor_delivery(self, machine, hop_recorder):
         packet = run_write(machine, (0, 0, 0), CoreAddress(0, 2, 0),
                            (1, 0, 0), CoreAddress(5, 1, 1), quad=9)
         gc = machine.gc((1, 0, 0), CoreAddress(5, 1, 1))
         assert gc.sram.read(9) == [1, 2, 3, 4]
         assert packet.torus_hops_taken == 1
-        assert any("ertr" in h for h in packet.hop_log)
+        assert any("ertr" in h for h in hop_recorder.hops(packet))
 
     def test_multi_hop_counts(self, machine):
         packet = run_write(machine, (0, 0, 0), CoreAddress(0, 0, 0),
@@ -72,12 +72,12 @@ class TestInterNodeDelivery:
         assert packet.torus_hops_taken == 3
         assert packet.delivered_ns is not None
 
-    def test_outgoing_travels_u_only_in_core(self, machine):
+    def test_outgoing_travels_u_only_in_core(self, machine, hop_recorder):
         """Remote packets cross the core network along U only."""
         packet = run_write(machine, (0, 0, 0), CoreAddress(3, 2, 0),
                            (0, 1, 0), CoreAddress(2, 4, 0), quad=12)
         src_side = []
-        for hop in packet.hop_log:
+        for hop in hop_recorder.hops(packet):
             if hop.startswith("core") and "@n0" in hop:
                 src_side.append(hop)
         rows = {h.split(",")[1].split(")")[0] for h in src_side}
@@ -110,19 +110,19 @@ class TestObliviousRouting:
             for __ in range(16)}
         assert slices == {0, 1}
 
-    def test_deterministic_given_seed(self):
+    def test_deterministic_given_seed(self, hop_recorder):
         def run_once():
             m = NetworkMachine(dims=(2, 2, 2), chip_cols=6, chip_rows=6,
                                seed=3)
             p = m.send_counted_write((0, 0, 0), CoreAddress(1, 1, 0),
                                      (1, 1, 0), CoreAddress(2, 2, 0))
             m.sim.run()
-            return p.delivered_ns, tuple(p.hop_log)
+            return p.delivered_ns, tuple(hop_recorder.hops(p))
         assert run_once() == run_once()
 
 
 class TestEdgeNetworkPolicy:
-    def test_through_traffic_uses_outer_column(self):
+    def test_through_traffic_uses_outer_column(self, hop_recorder):
         """Intra-dimensional through packets only touch column 2 at the
         intermediate node (Figure 4, blue route)."""
         machine = NetworkMachine(dims=(4, 2, 2), chip_cols=6, chip_rows=6,
@@ -132,14 +132,14 @@ class TestEdgeNetworkPolicy:
             (0, 0, 0), CoreAddress(0, 0, 0), (2, 0, 0), CoreAddress(0, 0, 0))
         machine.sim.run()
         mid_id = machine.torus.node_id((1, 0, 0))
-        mid_hops = [h for h in packet.hop_log
+        mid_hops = [h for h in hop_recorder.hops(packet)
                     if f"@n{mid_id}" in h and "ertr" in h]
         assert mid_hops, "expected edge-router hops at the through node"
         for hop in mid_hops:
             col = int(hop.split("(")[1].split(",")[0])
             assert col == 2, f"through traffic left the outer column: {hop}"
 
-    def test_turning_traffic_uses_inner_columns(self):
+    def test_turning_traffic_uses_inner_columns(self, hop_recorder):
         machine = NetworkMachine(dims=(2, 2, 2), chip_cols=6, chip_rows=6,
                                  seed=13)
         # Find a packet that turns (X then Y) at the intermediate node.
@@ -157,7 +157,7 @@ class TestEdgeNetworkPolicy:
         mid = (1, 0, 0) if first_axis == 0 else (0, 1, 0)
         mid_id = machine.torus.node_id(mid)
         mid_cols = [int(h.split("(")[1].split(",")[0])
-                    for h in packet.hop_log
+                    for h in hop_recorder.hops(packet)
                     if f"@n{mid_id}" in h and "ertr" in h]
         if mid_cols:  # the packet turned at this node
             assert any(col in (0, 1) for col in mid_cols)

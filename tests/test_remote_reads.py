@@ -51,14 +51,14 @@ class TestRemoteRead:
         assert response.num_flits == 2
         assert response.dim_order == (0, 1, 2)
 
-    def test_response_never_wraps(self, machine):
+    def test_response_never_wraps(self, machine, hop_recorder):
         """Mesh-restricted responses: from (2,*,*) to (0,*,*) the response
         walks through x=1, never using the 2->0 wraparound link."""
         __, requester = do_read(machine, (0, 0, 0), (2, 1, 1), reply=11)
         response = requester.delivered[-1]
         mid_id = machine.torus.node_id((1, 1, 1))
         # Hops must include the intermediate x=1 column of the mesh walk.
-        assert any(f"@n{mid_id}" in hop for hop in response.hop_log)
+        assert any(f"@n{mid_id}" in hop for hop in hop_recorder.hops(response))
         # A torus-minimal route would be 1 X-hop; the mesh route takes 2.
         x_hops = response.torus_hops_taken
         assert x_hops >= machine.torus.min_hops((2, 1, 1), (0, 0, 0))
@@ -93,11 +93,11 @@ class TestRemoteRead:
         # Two one-hop traversals plus memory service: 100-250 ns scale.
         assert 80.0 < round_trip < 300.0
 
-    def test_intra_node_read(self, machine):
+    def test_intra_node_read(self, machine, hop_recorder):
         """Reads within a node never touch the edge network."""
         __, requester = do_read(machine, (0, 0, 0), (0, 0, 0), reply=14,
                                 src_core=CoreAddress(0, 0, 0),
                                 dst_core=CoreAddress(4, 4, 0))
         response = requester.delivered[-1]
         assert response.torus_hops_taken == 0
-        assert not any("ertr" in hop for hop in response.hop_log)
+        assert not any("ertr" in hop for hop in hop_recorder.hops(response))
