@@ -126,12 +126,13 @@ class ChipNetwork(CoreNetworkHost):
                 ca.add_sink("fence", self._deliver_fence)
                 self.channel_adapters[(direction, slice_index)] = ca
 
-        # Per-GC sinks on every core router.
+        # Per-GC sinks on every core router, all sharing one bound method.
+        deliver_to_gc = self._deliver_to_gc
         for u in range(cols):
             for v in range(rows):
                 router = self.core.router(u, v)
-                router.add_sink("gc0", self._deliver_to_gc)
-                router.add_sink("gc1", self._deliver_to_gc)
+                router.add_sink("gc0", deliver_to_gc)
+                router.add_sink("gc1", deliver_to_gc)
 
     # ------------------------------------------------------------------
     # Geometry cores.

@@ -25,6 +25,7 @@ from typing import Callable, Dict, Optional, Tuple
 
 from ..engine.simulator import Simulator
 from ..topology.torus import DIRECTIONS, direction_name
+from .core_router import core_vc
 from .fabric import FabricError, Link, Router
 from .packet import Packet, RESPONSE_VC, TrafficClass, request_vc
 from .params import LatencyParams
@@ -132,7 +133,6 @@ class RowAdapter(Router):
             self._plan_egress(packet)
             return ("link", "edge", edge_vc(packet))
         if in_port == "edge":
-            from .core_router import core_vc
             return ("link", "core", core_vc(packet))
         raise FabricError(f"{self.name}: unknown in_port {in_port}")
 

@@ -33,6 +33,11 @@ class _QueuedSend:
     on_accept: Optional[Callable[[], None]]
 
 
+#: The dead-VC set of every healthy link, shared: ``fail_vc`` and
+#: ``restore_vc`` replace a link's set rather than mutate it.
+_NO_DEAD_VCS: frozenset = frozenset()
+
+
 class Link:
     """A point-to-point channel with credits and a serialization resource.
 
@@ -42,6 +47,9 @@ class Link:
     just fairness: a VC blocked on credits must not stall the others, or
     the dateline VC discipline of the torus routing
     (:mod:`repro.routing`) could deadlock behind a single shared FIFO.
+    A VC's queue is allocated on its first send (``None`` until then,
+    read as empty), so a link that never carries traffic costs only its
+    credits and counters.
 
     Attributes:
         name: Debug name.
@@ -68,10 +76,10 @@ class Link:
         self._credits = [credit_flits] * vcs
         self._deliver = deliver
         self._busy_until = 0.0
-        self._queues: List[Deque[_QueuedSend]] = [deque() for __ in range(vcs)]
+        self._queues: List[Optional[Deque[_QueuedSend]]] = [None] * vcs
         self._next_vc = 0  # round-robin arbitration pointer
         self.failed = False
-        self._dead_vcs: set = set()
+        self._dead_vcs: frozenset = _NO_DEAD_VCS
         self.packets_sent = 0
         self.flits_sent = 0
         self.packets_sent_by_vc = [0] * vcs
@@ -86,7 +94,10 @@ class Link:
         """Queue ``packet`` for transmission on ``vc``."""
         if not 0 <= vc < self.vcs:
             raise FabricError(f"{self.name}: VC {vc} out of range")
-        self._queues[vc].append(_QueuedSend(packet, on_accept))
+        queue = self._queues[vc]
+        if queue is None:
+            queue = self._queues[vc] = deque()
+        queue.append(_QueuedSend(packet, on_accept))
         if self.monitor is not None:
             self.monitor.on_enqueue(self._sim.now, packet, vc)
         self._dispatch()
@@ -188,7 +199,7 @@ class Link:
 
     @property
     def queued(self) -> int:
-        return sum(len(queue) for queue in self._queues)
+        return sum(len(queue) for queue in self._queues if queue)
 
     # -- fault injection (repro.faults) -----------------------------------
 
@@ -211,10 +222,10 @@ class Link:
         """Kill one virtual channel; the others keep flowing."""
         if not 0 <= vc < self.vcs:
             raise FabricError(f"{self.name}: VC {vc} out of range")
-        self._dead_vcs.add(vc)
+        self._dead_vcs = self._dead_vcs | {vc}
 
     def restore_vc(self, vc: int) -> None:
-        self._dead_vcs.discard(vc)
+        self._dead_vcs = self._dead_vcs - {vc}
         self._dispatch()
 
     # -- per-VC visibility (adaptive routing's credit/occupancy probe) ----
@@ -231,7 +242,7 @@ class Link:
 
     def queued_on(self, vc: int) -> int:
         """Packets waiting locally on ``vc``'s send queue."""
-        return len(self._queues[vc])
+        return len(self._queues[vc] or ())
 
     def queued_flits_on(self, vc: int) -> int:
         """Flits waiting locally on ``vc``'s send queue.
@@ -241,7 +252,7 @@ class Link:
         credits not yet spoken for by packets already committed to the
         VC.
         """
-        return sum(item.packet.num_flits for item in self._queues[vc])
+        return sum(item.packet.num_flits for item in self._queues[vc] or ())
 
 
 @dataclass(slots=True)

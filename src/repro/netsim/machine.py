@@ -9,10 +9,12 @@ writes, blocking reads, and raw packet injection.
 
 from __future__ import annotations
 
+import gc
 import random
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..engine.seeding import derive_seed
 from ..engine.simulator import Simulator
@@ -26,6 +28,26 @@ from .packet import CoreAddress, Packet, PacketKind, TrafficClass
 from .params import DEFAULT_PARAMS, LatencyParams
 
 _UNSET = object()  # sentinel distinguishing "not passed" from any value
+
+
+@contextmanager
+def _gc_paused() -> Iterator[None]:
+    """Pause the cyclic garbage collector while a machine is built.
+
+    Building a full-size machine allocates millions of long-lived objects
+    and no cyclic garbage, so every collection the allocations would
+    trigger scans a growing heap for nothing.  The collector is re-enabled
+    on exit only if it was enabled on entry, so a caller that turned it
+    off keeps it off; nothing is frozen, so a dropped machine is still
+    reclaimed.
+    """
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 class NetworkMachine:
@@ -81,12 +103,13 @@ class NetworkMachine:
                         if isinstance(config.routing, RoutingPolicy)
                         else make_policy(config.routing, self.torus))
         self.chips: Dict[Coord, ChipNetwork] = {}
-        for coord in self.torus.nodes():
-            self.chips[coord] = ChipNetwork(
-                self.sim, coord, self.torus, params=self.params,
-                cols=self.chip_cols, rows=self.chip_rows,
-                rng=random.Random(derive_seed(config.seed, coord)))
-        self._wire_channels()
+        with _gc_paused():
+            for coord in self.torus.nodes():
+                self.chips[coord] = ChipNetwork(
+                    self.sim, coord, self.torus, params=self.params,
+                    cols=self.chip_cols, rows=self.chip_rows,
+                    rng=random.Random(derive_seed(config.seed, coord)))
+            self._wire_channels()
         # Observability (repro.observe): explicit config wins; otherwise
         # the ambient context set by an observed runner task applies.
         # Unobserved machines keep ``observer`` None everywhere, so the

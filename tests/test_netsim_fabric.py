@@ -3,8 +3,11 @@
 import pytest
 
 from repro.engine import Simulator
-from repro.netsim import CoreAddress, Packet, PacketKind, TrafficClass
+from repro.netsim import (CoreAddress, MachineConfig, NetworkMachine, Packet,
+                          PacketKind, TrafficClass)
 from repro.netsim.fabric import FabricError, Link, Router
+from repro.traffic import OpenLoopHarness
+from repro.traffic.patterns import make_pattern
 
 
 def make_packet(num_flits=1):
@@ -46,6 +49,8 @@ class TestLink:
                     deliver=lambda p, v, l: None)
         with pytest.raises(FabricError):
             link.send(make_packet(), 5)
+        with pytest.raises(FabricError):
+            link.fail_vc(2)
 
     def test_credits_block_and_release(self):
         sim = Simulator()
@@ -114,6 +119,119 @@ class TestLink:
         assert link.packets_sent == 1
         assert link.flits_sent == 2
         assert link.busy_ns == pytest.approx(3.0)
+
+
+def _allocated(link):
+    """The VCs of ``link`` whose send queue has been allocated."""
+    return [vc for vc, queue in enumerate(link._queues) if queue is not None]
+
+
+class TestLazyQueues:
+    """A VC's send queue exists only once something was sent on it."""
+
+    def _link(self, sim, vcs=4):
+        return Link(sim, "l", 0.0, 1.0, vcs=vcs, credit_flits=8,
+                    deliver=lambda p, v, l: None)
+
+    def test_fresh_link_reads_empty_with_full_credits(self):
+        link = self._link(Simulator())
+        assert _allocated(link) == []
+        assert link.queued == 0
+        for vc in range(link.vcs):
+            assert link.queued_on(vc) == 0
+            assert link.queued_flits_on(vc) == 0
+            assert link.vc_credits(vc) == 8
+
+    def test_send_allocates_only_its_vc(self):
+        sim = Simulator()
+        link = self._link(sim)
+        sim.at(0.0, lambda: link.send(make_packet(num_flits=2), 2))
+        sim.run()
+        assert _allocated(link) == [2]
+        assert link.packets_sent_by_vc == [0, 0, 1, 0]
+        assert link.queued == 0
+
+    def test_queued_reads_an_allocated_vc(self):
+        sim = Simulator()
+        link = Link(sim, "l", 0.0, 1.0, vcs=3, credit_flits=2,
+                    deliver=lambda p, v, l: None)
+
+        def send_three():
+            for __ in range(3):
+                link.send(make_packet(num_flits=2), 1)
+
+        sim.at(0.0, send_three)
+        sim.run()
+        # One packet used the VC's credits; two wait behind it.
+        assert _allocated(link) == [1]
+        assert link.queued == 2
+        assert link.queued_on(1) == 2
+        assert link.queued_flits_on(1) == 4
+        assert link.queued_on(0) == link.queued_flits_on(0) == 0
+
+    def test_fail_and_restore_vc_round_trip(self):
+        sim = Simulator()
+        arrivals = []
+        link = Link(sim, "l", 0.0, 1.0, vcs=2, credit_flits=8,
+                    deliver=lambda p, v, l: arrivals.append(v))
+        other = self._link(sim, vcs=2)
+        # Restoring a VC that never failed is a no-op.
+        link.restore_vc(0)
+        assert link.vc_credits(0) == 8
+        # A dead VC whose queue was never allocated reads zero credit and
+        # stays unallocated; its neighbour is unaffected.
+        link.fail_vc(1)
+        assert link.vc_credits(1) == 0
+        assert link.vc_credits(0) == 8
+        assert _allocated(link) == []
+        # Failing one link's VC leaves every other link healthy.
+        assert other.vc_credits(1) == 8
+        # Sends on a dead VC are held, not dropped.
+        sim.at(0.0, lambda: link.send(make_packet(), 1))
+        sim.run()
+        assert arrivals == []
+        assert link.queued_on(1) == 1
+        link.restore_vc(1)
+        sim.run()
+        assert arrivals == [1]
+        assert link.vc_credits(1) == 7  # its flit now sits downstream
+        assert link.queued == 0
+        # A dead VC that was never used restores cleanly too.
+        link.fail_vc(0)
+        link.restore_vc(0)
+        assert link.vc_credits(0) == 8
+        assert _allocated(link) == [1]
+
+    def test_drained_run_allocates_exactly_the_used_vcs(self, monkeypatch):
+        """On a full-chip machine, only (link, VC) pairs that carried a
+        packet hold a queue once the run has drained."""
+        links = []
+        original = Link.__init__
+
+        def record(link, *args, **kwargs):
+            original(link, *args, **kwargs)
+            links.append(link)
+
+        monkeypatch.setattr(Link, "__init__", record)
+        machine = NetworkMachine(config=MachineConfig(
+            dims=(2, 2, 1), seed=4, routing="adaptive-escape"))
+        harness = OpenLoopHarness(
+            machine, make_pattern("uniform", machine.torus), 0.02, seed=4,
+            read_fraction=0.25, warmup_ns=0.0, measure_ns=200.0,
+            drain_ns=5000.0)
+        harness.run()
+        assert all(count == 0 for count in
+                   machine.in_flight_counts().values())
+        assert links
+        allocated = {(index, vc) for index, link in enumerate(links)
+                     for vc in _allocated(link)}
+        used = {(index, vc) for index, link in enumerate(links)
+                for vc, sent in enumerate(link.packets_sent_by_vc) if sent}
+        assert used
+        assert allocated == used
+        # Most of a full chip's links never see this light load.
+        assert len({index for index, __ in used}) < len(links) / 2
+        assert all(link.queued == 0 for link in links)
 
 
 class _StubRouter(Router):
