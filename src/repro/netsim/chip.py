@@ -24,6 +24,7 @@ from ..sync.sram import QuadSram
 from ..topology.torus import Coord, Torus3D
 from .core_router import CoreNetwork, CoreNetworkHost, core_vc
 from .edge_router import (
+    CA_PORTS,
     ChannelAdapter,
     EdgeNetwork,
     EdgeTarget,
@@ -103,12 +104,13 @@ class ChipNetwork(CoreNetworkHost):
                 to_core = Link(
                     sim, f"{ra.name}->core", latency_ns=0.0,
                     ser_ns_per_flit=params.cycle_ns, vcs=2, credit_flits=8,
-                    deliver=self._ra_to_core(core_u, row))
+                    deliver=self.core.router(core_u, row).receive,
+                    in_port="RA")
                 ra.add_output("core", to_core)
                 core_to_ra = Link(
                     sim, f"core({core_u},{row})->{ra.name}", latency_ns=0.0,
                     ser_ns_per_flit=params.cycle_ns, vcs=2, credit_flits=8,
-                    deliver=self._core_to_ra(ra))
+                    deliver=ra.receive, in_port="core")
                 self.core.attach_ra(core_u, row, core_to_ra)
                 self.row_adapters[(side, row)] = ra
 
@@ -315,7 +317,7 @@ class ChipNetwork(CoreNetworkHost):
         via = self._rng.choice((0, 1))  # inner columns, randomized
         packet.edge_target = EdgeTarget(via_col=via, row=row,
                                         exit_col=OUTER_COL,
-                                        exit_port=_ca_port(direction))
+                                        exit_port=CA_PORTS[direction])
 
     def _plan_ingress(self, packet: Packet,
                       arrival_direction: Tuple[int, int]) -> str:
@@ -347,22 +349,12 @@ class ChipNetwork(CoreNetworkHost):
             via = self._rng.choice((0, 1))
         packet.edge_target = EdgeTarget(
             via_col=via, row=edge.direction_rows[direction],
-            exit_col=OUTER_COL, exit_port=_ca_port(direction))
+            exit_col=OUTER_COL, exit_port=CA_PORTS[direction])
         return "edge"
 
     # ------------------------------------------------------------------
     # Wiring helpers.
     # ------------------------------------------------------------------
-
-    def _ra_to_core(self, core_u: int, row: int):
-        def deliver(packet: Packet, vc: int, link: Link) -> None:
-            self.core.router(core_u, row).receive(packet, vc, "RA", link)
-        return deliver
-
-    def _core_to_ra(self, ra: RowAdapter):
-        def deliver(packet: Packet, vc: int, link: Link) -> None:
-            ra.receive(packet, vc, "core", link)
-        return deliver
 
     def attach_channel(self, direction: Tuple[int, int], slice_index: int,
                        link: Link) -> None:
@@ -390,8 +382,3 @@ class ChipNetwork(CoreNetworkHost):
             if link is not None:
                 total += link.queued
         return total
-
-
-def _ca_port(direction: Tuple[int, int]) -> str:
-    from ..topology.torus import direction_name
-    return f"CA:{direction_name(direction)}"

@@ -137,7 +137,7 @@ class CoreNetwork:
                 link = Link(
                     sim, f"{router.name}->{port}", latency_ns=0.0,
                     ser_ns_per_flit=ser, vcs=vcs, credit_flits=credit_flits,
-                    deliver=_mesh_deliver(neighbor, port))
+                    deliver=neighbor.receive, in_port=port)
                 router.add_output(port, link)
 
     def router(self, u: int, v: int) -> CoreRouter:
@@ -159,9 +159,3 @@ class CoreNetwork:
 
     def receive_from_ra(self, packet: Packet, vc: int, u: int, v: int) -> None:
         self.routers[(u, v)].receive(packet, vc, "RA", None)
-
-
-def _mesh_deliver(neighbor: CoreRouter, direction: str):
-    def deliver(packet: Packet, vc: int, link: Link) -> None:
-        neighbor.receive(packet, vc, direction, link)
-    return deliver

@@ -21,7 +21,8 @@ the particle cache and INZ codecs (modeled for traffic accounting in
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Tuple
+from functools import lru_cache
+from typing import Callable, Dict, Mapping, Optional, Tuple
 
 from ..engine.simulator import Simulator
 from ..topology.torus import DIRECTIONS, direction_name
@@ -41,6 +42,10 @@ DIRECTION_ROWS: Dict[Tuple[int, int], int] = {
 OUTER_COL = 2
 INNER_COLS = (0, 1)
 
+#: Outer-column port toward the Channel Adapter of each torus direction.
+CA_PORTS: Dict[Tuple[int, int], str] = {
+    direction: f"CA:{direction_name(direction)}" for direction in DIRECTIONS}
+
 
 def compact_direction_rows() -> Dict[Tuple[int, int], int]:
     """Direction-row map for reduced-size test chips (rows >= 6)."""
@@ -59,6 +64,16 @@ def edge_vc(packet: Packet) -> int:
     if packet.traffic_class is TrafficClass.RESPONSE:
         return RESPONSE_VC
     return request_vc(packet)
+
+
+@lru_cache(maxsize=16)
+def _pipeline_table(params: LatencyParams) -> Mapping[str, float]:
+    """Pipeline charge (ns) per Edge Network router role; read-only and
+    shared by every router built with ``params``."""
+    return {"ertr": params.cycles(params.edge_hop_cycles),
+            "ra": params.cycles(params.ra_cycles),
+            "ca_tx": params.cycles(params.ca_tx_cycles),
+            "ca_rx": params.cycles(params.ca_rx_cycles)}
 
 
 @dataclass
@@ -84,10 +99,10 @@ class EdgeRouter(Router):
         super().__init__(sim, name)
         self.col = col
         self.row = row
-        self._params = params
+        self._pipeline = _pipeline_table(params)
 
     def pipeline_ns(self, packet: Packet, in_port: str) -> float:
-        return self._params.cycles(self._params.edge_hop_cycles)
+        return self._pipeline["ertr"]
 
     def route(self, packet: Packet, vc: int,
               in_port: str) -> Tuple[str, str, Optional[int]]:
@@ -121,11 +136,11 @@ class RowAdapter(Router):
                  plan_egress: Callable[[Packet], None]) -> None:
         super().__init__(sim, name)
         self.row = row
-        self._params = params
+        self._pipeline = _pipeline_table(params)
         self._plan_egress = plan_egress
 
     def pipeline_ns(self, packet: Packet, in_port: str) -> float:
-        return self._params.cycles(self._params.ra_cycles)
+        return self._pipeline["ra"]
 
     def route(self, packet: Packet, vc: int,
               in_port: str) -> Tuple[str, str, Optional[int]]:
@@ -153,13 +168,13 @@ class ChannelAdapter(Router):
         super().__init__(sim, name)
         self.direction = direction
         self.slice_index = slice_index
-        self._params = params
+        self._pipeline = _pipeline_table(params)
         self._plan_ingress = plan_ingress
 
     def pipeline_ns(self, packet: Packet, in_port: str) -> float:
         if in_port == "edge":
-            return self._params.cycles(self._params.ca_tx_cycles)
-        return self._params.cycles(self._params.ca_rx_cycles)
+            return self._pipeline["ca_tx"]
+        return self._pipeline["ca_rx"]
 
     def route(self, packet: Packet, vc: int,
               in_port: str) -> Tuple[str, str, Optional[int]]:
@@ -200,7 +215,6 @@ class EdgeNetwork:
                 name = f"ertr{side}({col},{row})@{node_tag}"
                 self.routers[(col, row)] = EdgeRouter(sim, name, col, row,
                                                       params)
-        ser = params.cycle_ns
         for (col, row), router in self.routers.items():
             for port, (ncol, nrow) in (("E", (col + 1, row)),
                                        ("W", (col - 1, row)),
@@ -209,11 +223,16 @@ class EdgeNetwork:
                 neighbor = self.routers.get((ncol, nrow))
                 if neighbor is None:
                     continue
-                link = Link(sim, f"{router.name}->{port}", latency_ns=0.0,
-                            ser_ns_per_flit=ser, vcs=vcs,
-                            credit_flits=credit_flits,
-                            deliver=_edge_deliver(neighbor, port))
-                router.add_output(port, link)
+                self._connect(router, port, neighbor, port, vcs, credit_flits)
+
+    def _connect(self, source: Router, port: str, target: Router,
+                 in_port: str, vcs: int, credit_flits: int) -> None:
+        """Wire ``source``'s output ``port`` to ``target``'s ``in_port``."""
+        source.add_output(port, Link(
+            self._sim, f"{source.name}->{port}", latency_ns=0.0,
+            ser_ns_per_flit=self._params.cycle_ns, vcs=vcs,
+            credit_flits=credit_flits, deliver=target.receive,
+            in_port=in_port))
 
     def router(self, col: int, row: int) -> EdgeRouter:
         return self.routers[(col, row)]
@@ -222,40 +241,16 @@ class EdgeNetwork:
                   vcs: Optional[int] = None, credit_flits: int = 8) -> None:
         """Wire a Row Adapter to the inner column at ``row`` (both ways)."""
         inner = self.routers[(0, row)]
-        params = self._params
         vcs = self.vcs if vcs is None else vcs
-        to_edge = Link(self._sim, f"{ra.name}->edge", latency_ns=0.0,
-                       ser_ns_per_flit=params.cycle_ns, vcs=vcs,
-                       credit_flits=credit_flits,
-                       deliver=lambda p, v, l: inner.receive(p, v, "RA", l))
-        ra.add_output("edge", to_edge)
-        to_ra = Link(self._sim, f"{inner.name}->RA", latency_ns=0.0,
-                     ser_ns_per_flit=params.cycle_ns, vcs=vcs,
-                     credit_flits=credit_flits,
-                     deliver=lambda p, v, l: ra.receive(p, v, "edge", l))
-        inner.add_output("RA", to_ra)
+        self._connect(ra, "edge", inner, "RA", vcs, credit_flits)
+        self._connect(inner, "RA", ra, "edge", vcs, credit_flits)
 
     def attach_ca(self, ca: ChannelAdapter,
                   vcs: Optional[int] = None, credit_flits: int = 8) -> None:
         """Wire a Channel Adapter to the outer column at its row."""
         row = self.direction_rows[ca.direction]
         outer = self.routers[(OUTER_COL, row)]
-        params = self._params
         vcs = self.vcs if vcs is None else vcs
-        port = f"CA:{direction_name(ca.direction)}"
-        to_ca = Link(self._sim, f"{outer.name}->{port}", latency_ns=0.0,
-                     ser_ns_per_flit=params.cycle_ns, vcs=vcs,
-                     credit_flits=credit_flits,
-                     deliver=lambda p, v, l: ca.receive(p, v, "edge", l))
-        outer.add_output(port, to_ca)
-        to_edge = Link(self._sim, f"{ca.name}->edge", latency_ns=0.0,
-                       ser_ns_per_flit=params.cycle_ns, vcs=vcs,
-                       credit_flits=credit_flits,
-                       deliver=lambda p, v, l: outer.receive(p, v, "CA", l))
-        ca.add_output("edge", to_edge)
-
-
-def _edge_deliver(neighbor: EdgeRouter, direction: str):
-    def deliver(packet: Packet, vc: int, link: Link) -> None:
-        neighbor.receive(packet, vc, direction, link)
-    return deliver
+        self._connect(outer, CA_PORTS[ca.direction], ca, "edge", vcs,
+                      credit_flits)
+        self._connect(ca, "edge", outer, "CA", vcs, credit_flits)

@@ -30,7 +30,8 @@ class FabricError(RuntimeError):
 @dataclass(slots=True)
 class _QueuedSend:
     packet: Packet
-    on_accept: Optional[Callable[[], None]]
+    upstream: Optional["Link"]
+    upstream_vc: int
 
 
 #: The dead-VC set of every healthy link, shared: ``fail_vc`` and
@@ -47,9 +48,10 @@ class Link:
     just fairness: a VC blocked on credits must not stall the others, or
     the dateline VC discipline of the torus routing
     (:mod:`repro.routing`) could deadlock behind a single shared FIFO.
-    A VC's queue is allocated on its first send (``None`` until then,
-    read as empty), so a link that never carries traffic costs only its
-    credits and counters.
+    A send to an idle link with nothing queued and credits to spare
+    goes out at once; only a send that has to wait allocates its VC's
+    queue (``None`` until then, read as empty), so a link that never
+    backs up costs only its credits and counters.
 
     Attributes:
         name: Debug name.
@@ -58,16 +60,20 @@ class Link:
         ser_ns_per_flit: Serialization time per flit.
         vcs: Number of virtual channels.
         credit_flits: Input-queue depth per VC at the receiver.
+        deliver: Called as ``deliver(packet, vc, in_port, link)`` on
+            arrival: the downstream router's :meth:`Router.receive`.
+        in_port: The input port ``deliver`` is told the packet came in on.
     """
 
     __slots__ = ("_sim", "name", "latency_ns", "ser_ns_per_flit", "vcs",
-                 "_credits", "_deliver", "_busy_until", "_queues",
+                 "_credits", "_deliver", "_in_port", "_busy_until", "_queues",
                  "_next_vc", "failed", "_dead_vcs", "packets_sent",
                  "flits_sent", "packets_sent_by_vc", "busy_ns", "monitor")
 
     def __init__(self, sim: Simulator, name: str, latency_ns: float,
                  ser_ns_per_flit: float, vcs: int, credit_flits: int,
-                 deliver: Callable[[Packet, int, "Link"], None]) -> None:
+                 deliver: Callable[[Packet, int, str, "Link"], None],
+                 in_port: str = "") -> None:
         self._sim = sim
         self.name = name
         self.latency_ns = latency_ns
@@ -75,6 +81,7 @@ class Link:
         self.vcs = vcs
         self._credits = [credit_flits] * vcs
         self._deliver = deliver
+        self._in_port = in_port
         self._busy_until = 0.0
         self._queues: List[Optional[Deque[_QueuedSend]]] = [None] * vcs
         self._next_vc = 0  # round-robin arbitration pointer
@@ -89,15 +96,41 @@ class Link:
         # only these None checks.
         self.monitor = None
 
-    def send(self, packet: Packet, vc: int,
-             on_accept: Optional[Callable[[], None]] = None) -> None:
-        """Queue ``packet`` for transmission on ``vc``."""
+    def send(self, packet: Packet, vc: int, upstream: Optional["Link"] = None,
+             upstream_vc: int = 0) -> None:
+        """Transmit ``packet`` on ``vc``, or queue it until it can go.
+
+        When the link accepts the packet it returns the packet's credits
+        to ``upstream`` (the link it arrived on, if any) on ``upstream_vc``.
+        """
         if not 0 <= vc < self.vcs:
             raise FabricError(f"{self.name}: VC {vc} out of range")
+        flits = packet.num_flits
+        credits = self._credits
+        now = self._sim.now
+        if (self._busy_until <= now and credits[vc] >= flits
+                and self.monitor is None and not self.failed
+                and not any(self._queues) and vc not in self._dead_vcs):
+            # Idle and unobserved with nothing queued: the transmit branch
+            # of _dispatch, taken without queueing the packet first.
+            self._next_vc = vc + 1 if vc + 1 < self.vcs else 0
+            credits[vc] -= flits
+            ser = flits * self.ser_ns_per_flit
+            busy_until = self._busy_until = now + ser
+            self.busy_ns += ser
+            self.packets_sent += 1
+            self.flits_sent += flits
+            self.packets_sent_by_vc[vc] += 1
+            if upstream is not None:
+                upstream.return_credits(upstream_vc, flits)
+            self._sim.at(busy_until + self.latency_ns,
+                         partial(self._deliver, packet, vc, self._in_port,
+                                 self))
+            return
         queue = self._queues[vc]
         if queue is None:
             queue = self._queues[vc] = deque()
-        queue.append(_QueuedSend(packet, on_accept))
+        queue.append(_QueuedSend(packet, upstream, upstream_vc))
         if self.monitor is not None:
             self.monitor.on_enqueue(self._sim.now, packet, vc)
         self._dispatch()
@@ -189,13 +222,14 @@ class Link:
             self.packets_sent += 1
             self.flits_sent += flits
             self.packets_sent_by_vc[vc] += 1
-            if head.on_accept is not None:
-                head.on_accept()
+            if head.upstream is not None:
+                head.upstream.return_credits(head.upstream_vc, flits)
             arrival = busy_until + self.latency_ns
             if monitor is not None:
                 monitor.on_transmit(now, packet, vc, busy_until, arrival,
                                     conflicts)
-            self._sim.at(arrival, partial(self._deliver, packet, vc, self))
+            self._sim.at(arrival, partial(self._deliver, packet, vc,
+                                          self._in_port, self))
 
     @property
     def queued(self) -> int:
@@ -255,20 +289,6 @@ class Link:
         return sum(item.packet.num_flits for item in self._queues[vc] or ())
 
 
-@dataclass(slots=True)
-class _InputRecord:
-    """Tracks the upstream link owed credits for a buffered packet."""
-
-    link: Optional[Link]
-    vc: int
-    flits: int
-
-    def release(self) -> None:
-        if self.link is not None:
-            self.link.return_credits(self.vc, self.flits)
-            self.link = None
-
-
 class Router:
     """Base class: pipeline delay, subclass routing, credit bookkeeping.
 
@@ -322,24 +342,25 @@ class Router:
     def receive(self, packet: Packet, vc: int, in_port: str,
                 from_link: Optional[Link]) -> None:
         """Entry point for packets from a link or local injection."""
-        record = _InputRecord(from_link, vc, packet.num_flits)
         self._sim.after(self.pipeline_ns(packet, in_port),
-                        partial(self._forward, packet, vc, in_port, record))
+                        partial(self._forward, packet, vc, in_port, from_link))
 
     def _forward(self, packet: Packet, vc: int, in_port: str,
-                 record: _InputRecord) -> None:
+                 from_link: Optional[Link]) -> None:
         self.packets_routed += 1
         target, port, out_vc = self.route(packet, vc, in_port)
         if target == "local":
-            record.release()
+            # The packet leaves the input queue: its credits go back now.
+            if from_link is not None:
+                from_link.return_credits(vc, packet.num_flits)
             handler = self._sinks.get(port)
             if handler is None:
                 raise FabricError(f"{self.name}: no sink {port!r}")
             handler(packet)
             return
         link = self.output(port)
-        link.send(packet, out_vc if out_vc is not None else vc,
-                  on_accept=record.release)
+        # ``link`` returns the credits to ``from_link`` once it accepts.
+        link.send(packet, out_vc if out_vc is not None else vc, from_link, vc)
 
     # -- routing (subclass responsibility) --------------------------------
 

@@ -159,8 +159,7 @@ class NetworkMachine:
                         latency_ns=params.channel_hop_ns,
                         ser_ns_per_flit=params.flit_serialization_ns,
                         vcs=params.link_vcs, credit_flits=8,
-                        deliver=lambda p, v, l, ca=ca_in: ca.receive(
-                            p, v, "channel", l))
+                        deliver=ca_in.receive, in_port="channel")
                     chip.attach_channel((axis, sign), slice_index, link)
 
     # ------------------------------------------------------------------

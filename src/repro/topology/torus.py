@@ -98,8 +98,8 @@ class Torus3D:
         return (x, y, z)
 
     def normalize(self, coord: Coord) -> Coord:
-        dims = self.dims.as_tuple()
-        return tuple(c % d for c, d in zip(coord, dims))  # type: ignore[return-value]
+        dims = self.dims
+        return (coord[0] % dims.x, coord[1] % dims.y, coord[2] % dims.z)
 
     # -- neighbors and distances ---------------------------------------
 
@@ -154,8 +154,9 @@ class Torus3D:
     def offsets(self, src: Coord, dst: Coord) -> Coord:
         src = self.normalize(src)
         dst = self.normalize(dst)
-        return tuple(self.axis_offset(src[i], dst[i], i)
-                     for i in range(3))  # type: ignore[return-value]
+        axis_offset = self.axis_offset
+        return (axis_offset(src[0], dst[0], 0), axis_offset(src[1], dst[1], 1),
+                axis_offset(src[2], dst[2], 2))
 
     # -- routes ----------------------------------------------------------
 

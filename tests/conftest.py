@@ -33,9 +33,9 @@ def hop_recorder(monkeypatch) -> HopRecorder:
     recorder = HopRecorder()
     forward = Router._forward
 
-    def recording_forward(router, packet, vc, in_port, record):
+    def recording_forward(router, packet, vc, in_port, from_link):
         recorder.record(router, packet, in_port)
-        forward(router, packet, vc, in_port, record)
+        forward(router, packet, vc, in_port, from_link)
 
     monkeypatch.setattr(Router, "_forward", recording_forward)
     return recorder

@@ -3,12 +3,15 @@
 Each case builds a small machine on 6x6 chips, runs it to completion and
 reduces what it produced to a canonical result digest
 (:func:`repro.runner.cache.canonicalize` + :func:`config_digest`) plus
-the exact number of kernel events.  The pins were computed before the
-event hot path was rewritten.  The open loops run at half load, so VC
-arbitration and credit stalls shape their results.  A change to the
-kernel, the links or the routers that alters any result, or the number
-or order of events, fails here.  The pinned values are never regenerated
-to make a change pass.
+the exact number of kernel events.  The first five pins were computed
+before the event hot path was rewritten, and ``saturated-openloop``
+before links gained their idle-link fast path.  Two open loops run at
+half load, so VC arbitration and credit stalls shape their results; the
+saturated one offers 0.95 load of bit-complement traffic with remote
+reads, so busy-link retries, credit stalls and round-robin over several
+queued VCs do.  A change to the kernel, the links or the routers that
+alters any result, or the number or order of events, fails here.  The
+pinned values are never regenerated to make a change pass.
 """
 
 from __future__ import annotations
@@ -42,16 +45,24 @@ def _counts(machine: NetworkMachine) -> dict:
     }
 
 
-def _open_loop(machine: NetworkMachine, seed: int) -> dict:
+def _open_loop(machine: NetworkMachine, seed: int, pattern="uniform",
+               load=0.5, read_fraction=0.0) -> dict:
     harness = OpenLoopHarness(
-        machine, make_pattern("uniform", machine.torus), 0.5, seed=seed,
-        warmup_ns=50.0, measure_ns=100.0, drain_ns=2000.0)
+        machine, make_pattern(pattern, machine.torus), load, seed=seed,
+        read_fraction=read_fraction, warmup_ns=50.0, measure_ns=100.0,
+        drain_ns=2000.0)
     return {"result": harness.run().to_dict(), "machine": _counts(machine)}
 
 
 def openloop_uniform():
     machine = _machine()
     return machine, _open_loop(machine, seed=3)
+
+
+def saturated_openloop():
+    machine = _machine(seed=6)
+    return machine, _open_loop(machine, seed=6, pattern="bit-complement",
+                               load=0.95, read_fraction=0.5)
 
 
 def phaseloop_adaptive_reads():
@@ -89,6 +100,7 @@ CASES = {
     "dead-link-openloop": dead_link_openloop,
     "fig5-pingpong": fig5_pingpong,
     "fence-barrier": fence_barrier,
+    "saturated-openloop": saturated_openloop,
 }
 
 #: case -> (result digest, kernel events processed).
@@ -108,6 +120,9 @@ PINS = {
     "phaseloop-adaptive-reads": (
         "1d8247e58e313007d3f50597a3123bbb335a1150af59e1f09268c378b730f581",
         40053),
+    "saturated-openloop": (
+        "f389824bc3b9a8aaabc4bff1a79c7a411d89185628f9fe897e5547db7506d725",
+        162130),
 }
 
 

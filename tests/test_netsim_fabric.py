@@ -6,6 +6,7 @@ from repro.engine import Simulator
 from repro.netsim import (CoreAddress, MachineConfig, NetworkMachine, Packet,
                           PacketKind, TrafficClass)
 from repro.netsim.fabric import FabricError, Link, Router
+from repro.runner.cache import canonicalize, config_digest
 from repro.traffic import OpenLoopHarness
 from repro.traffic.patterns import make_pattern
 
@@ -25,7 +26,7 @@ class TestLink:
         arrivals = []
         link = Link(sim, "l", latency_ns=5.0, ser_ns_per_flit=1.0,
                     vcs=2, credit_flits=8,
-                    deliver=lambda p, v, l: arrivals.append((sim.now, v)))
+                    deliver=lambda p, v, i, l: arrivals.append((sim.now, v)))
         sim.at(0.0, lambda: link.send(make_packet(num_flits=2), 1))
         sim.run()
         assert arrivals == [(7.0, 1)]  # 2 flits x 1 ns + 5 ns
@@ -35,7 +36,7 @@ class TestLink:
         arrivals = []
         link = Link(sim, "l", latency_ns=0.0, ser_ns_per_flit=2.0,
                     vcs=1, credit_flits=64,
-                    deliver=lambda p, v, l: arrivals.append(sim.now))
+                    deliver=lambda p, v, i, l: arrivals.append(sim.now))
         def send_two():
             link.send(make_packet(), 0)
             link.send(make_packet(), 0)
@@ -46,7 +47,7 @@ class TestLink:
     def test_vc_range_checked(self):
         sim = Simulator()
         link = Link(sim, "l", 0.0, 1.0, vcs=2, credit_flits=8,
-                    deliver=lambda p, v, l: None)
+                    deliver=lambda p, v, i, l: None)
         with pytest.raises(FabricError):
             link.send(make_packet(), 5)
         with pytest.raises(FabricError):
@@ -57,7 +58,7 @@ class TestLink:
         arrivals = []
         link = Link(sim, "l", latency_ns=0.0, ser_ns_per_flit=1.0,
                     vcs=1, credit_flits=2,
-                    deliver=lambda p, v, l: arrivals.append(sim.now))
+                    deliver=lambda p, v, i, l: arrivals.append(sim.now))
         def send_three():
             for __ in range(3):
                 link.send(make_packet(num_flits=1), 0)
@@ -85,7 +86,7 @@ class TestLink:
         deliveries = []
         link = Link(sim, "l", latency_ns=0.0, ser_ns_per_flit=1.0,
                     vcs=2, credit_flits=64,
-                    deliver=lambda p, v, l: deliveries.append((sim.now, v)))
+                    deliver=lambda p, v, i, l: deliveries.append((sim.now, v)))
 
         def backlog():
             for __ in range(40):
@@ -113,7 +114,7 @@ class TestLink:
     def test_stats(self):
         sim = Simulator()
         link = Link(sim, "l", 0.0, 1.5, vcs=1, credit_flits=8,
-                    deliver=lambda p, v, l: None)
+                    deliver=lambda p, v, i, l: None)
         sim.at(0.0, lambda: link.send(make_packet(num_flits=2), 0))
         sim.run()
         assert link.packets_sent == 1
@@ -126,12 +127,41 @@ def _allocated(link):
     return [vc for vc, queue in enumerate(link._queues) if queue is not None]
 
 
+def _record_links(monkeypatch):
+    """Every Link built from now on, in construction order."""
+    links = []
+    original = Link.__init__
+
+    def record(link, *args, **kwargs):
+        original(link, *args, **kwargs)
+        links.append(link)
+
+    monkeypatch.setattr(Link, "__init__", record)
+    return links
+
+
+def _record_waits(monkeypatch):
+    """The (link, VC) pairs of every send that had to wait: the link was
+    busy, short of credits on the VC, or already held queued packets."""
+    waited = set()
+    original = Link.send
+
+    def send(link, packet, vc, *args):
+        if (link._busy_until > link._sim.now or link.queued
+                or link.vc_credits(vc) < packet.num_flits):
+            waited.add((id(link), vc))
+        original(link, packet, vc, *args)
+
+    monkeypatch.setattr(Link, "send", send)
+    return waited
+
+
 class TestLazyQueues:
-    """A VC's send queue exists only once something was sent on it."""
+    """A VC's send queue exists only once a send on it had to wait."""
 
     def _link(self, sim, vcs=4):
         return Link(sim, "l", 0.0, 1.0, vcs=vcs, credit_flits=8,
-                    deliver=lambda p, v, l: None)
+                    deliver=lambda p, v, i, l: None)
 
     def test_fresh_link_reads_empty_with_full_credits(self):
         link = self._link(Simulator())
@@ -147,14 +177,25 @@ class TestLazyQueues:
         link = self._link(sim)
         sim.at(0.0, lambda: link.send(make_packet(num_flits=2), 2))
         sim.run()
-        assert _allocated(link) == [2]
+        # An idle link sends at once: nothing is allocated.
+        assert _allocated(link) == []
         assert link.packets_sent_by_vc == [0, 0, 1, 0]
+
+        def send_two():
+            link.send(make_packet(num_flits=2), 3)
+            link.send(make_packet(), 1)
+
+        sim.at(sim.now, send_two)
+        sim.run()
+        # The second send found the link busy: only its VC got a queue.
+        assert _allocated(link) == [1]
+        assert link.packets_sent_by_vc == [0, 1, 1, 1]
         assert link.queued == 0
 
     def test_queued_reads_an_allocated_vc(self):
         sim = Simulator()
         link = Link(sim, "l", 0.0, 1.0, vcs=3, credit_flits=2,
-                    deliver=lambda p, v, l: None)
+                    deliver=lambda p, v, i, l: None)
 
         def send_three():
             for __ in range(3):
@@ -173,7 +214,7 @@ class TestLazyQueues:
         sim = Simulator()
         arrivals = []
         link = Link(sim, "l", 0.0, 1.0, vcs=2, credit_flits=8,
-                    deliver=lambda p, v, l: arrivals.append(v))
+                    deliver=lambda p, v, i, l: arrivals.append(v))
         other = self._link(sim, vcs=2)
         # Restoring a VC that never failed is a no-op.
         link.restore_vc(0)
@@ -202,17 +243,13 @@ class TestLazyQueues:
         assert link.vc_credits(0) == 8
         assert _allocated(link) == [1]
 
-    def test_drained_run_allocates_exactly_the_used_vcs(self, monkeypatch):
-        """On a full-chip machine, only (link, VC) pairs that carried a
-        packet hold a queue once the run has drained."""
-        links = []
-        original = Link.__init__
-
-        def record(link, *args, **kwargs):
-            original(link, *args, **kwargs)
-            links.append(link)
-
-        monkeypatch.setattr(Link, "__init__", record)
+    def test_drained_run_allocates_exactly_the_queued_vcs(self,
+                                                          monkeypatch):
+        """On a full-chip machine, exactly the (link, VC) pairs with a send
+        that had to wait hold a queue once the run has drained; each of
+        them carried a packet."""
+        links = _record_links(monkeypatch)
+        waited = _record_waits(monkeypatch)
         machine = NetworkMachine(config=MachineConfig(
             dims=(2, 2, 1), seed=4, routing="adaptive-escape"))
         harness = OpenLoopHarness(
@@ -223,15 +260,64 @@ class TestLazyQueues:
         assert all(count == 0 for count in
                    machine.in_flight_counts().values())
         assert links
-        allocated = {(index, vc) for index, link in enumerate(links)
+        allocated = {(id(link), vc) for link in links
                      for vc in _allocated(link)}
-        used = {(index, vc) for index, link in enumerate(links)
+        used = {(id(link), vc) for link in links
                 for vc, sent in enumerate(link.packets_sent_by_vc) if sent}
         assert used
-        assert allocated == used
+        assert allocated == waited
+        assert waited <= used
+        # At this light load almost every send finds its link idle.
+        assert len(waited) < len(used) / 2
         # Most of a full chip's links never see this light load.
-        assert len({index for index, __ in used}) < len(links) / 2
+        assert len({key for key, __ in used}) < len(links) / 2
         assert all(link.queued == 0 for link in links)
+
+
+class _NoOpMonitor:
+    """A link monitor that records nothing; it forces the queued path."""
+
+    def on_enqueue(self, now, packet, vc):
+        pass
+
+    def on_stall(self, now, blocked):
+        pass
+
+    def on_transmit(self, now, packet, vc, busy_until, arrival, conflicts):
+        pass
+
+
+def _open_loop_run(monkeypatch, monitored):
+    """(digest, events, waiting sends) of a 6x6-chip open loop, with a
+    no-op monitor on every link when ``monitored``."""
+    links = _record_links(monkeypatch)
+    waited = _record_waits(monkeypatch)
+    machine = NetworkMachine(config=MachineConfig(
+        dims=(2, 2, 2), chip_cols=6, chip_rows=6, seed=5))
+    if monitored:
+        for link in links:
+            link.monitor = _NoOpMonitor()
+    harness = OpenLoopHarness(
+        machine, make_pattern("uniform", machine.torus), 0.95, seed=5,
+        read_fraction=0.25, warmup_ns=50.0, measure_ns=100.0,
+        drain_ns=2000.0)
+    record = {"result": harness.run().to_dict(),
+              "events": machine.sim.events_processed}
+    monkeypatch.undo()
+    return (config_digest("fast-path", {"result": canonicalize(record)}),
+            machine.sim.events_processed, len(waited))
+
+
+class TestIdleLinkFastPath:
+    def test_fast_path_matches_the_queued_path(self, monkeypatch):
+        """Sending at once from an idle link is exactly what queueing the
+        packet and dispatching it would do: a run whose every link is
+        monitored (so every send queues) gives the same result."""
+        fast = _open_loop_run(monkeypatch, monitored=False)
+        queued = _open_loop_run(monkeypatch, monitored=True)
+        assert fast[:2] == queued[:2]
+        # Some sends really had to wait, so the queue path was exercised.
+        assert fast[2] > 0
 
 
 class _StubRouter(Router):
@@ -276,7 +362,7 @@ class TestRouter:
     def test_duplicate_wiring_rejected(self):
         sim = Simulator()
         router = _StubRouter(sim, "r", ("local", "gc0", None))
-        link = Link(sim, "l", 0.0, 1.0, 1, 8, lambda p, v, l: None)
+        link = Link(sim, "l", 0.0, 1.0, 1, 8, lambda p, v, i, l: None)
         router.add_output("U+", link)
         with pytest.raises(FabricError):
             router.add_output("U+", link)
@@ -298,7 +384,7 @@ class TestRouter:
         router = _StubRouter(sim, "r", ("local", "gc0", None))
         router.add_sink("gc0", lambda p: None)
         link = Link(sim, "up", 0.0, 1.0, vcs=1, credit_flits=1,
-                    deliver=lambda p, v, l: router.receive(p, v, "in", l))
+                    deliver=router.receive, in_port="in")
         def send_two():
             link.send(make_packet(), 0)
             link.send(make_packet(), 0)
