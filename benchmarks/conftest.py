@@ -9,7 +9,7 @@ from __future__ import annotations
 import pytest
 
 from repro.md import Decomposition, MdEngine
-from repro.netsim import NetworkMachine
+from repro.netsim import MachineConfig, NetworkMachine
 from repro.runner import ResultCache
 
 
@@ -27,7 +27,7 @@ def runner_cache(tmp_path_factory):
 @pytest.fixture(scope="session")
 def machine128():
     """The paper's 128-node (4 x 4 x 8) machine with full-size chips."""
-    return NetworkMachine(dims=(4, 4, 8), seed=42)
+    return NetworkMachine(config=MachineConfig(dims=(4, 4, 8), seed=42))
 
 
 class WaterRuns:

@@ -17,7 +17,7 @@ from repro.fence import (
     configure_fence_network,
     run_fence_flood,
 )
-from repro.netsim import NetworkMachine
+from repro.netsim import MachineConfig, NetworkMachine
 
 
 def demo_barrier_scaling(machine: NetworkMachine) -> None:
@@ -73,8 +73,8 @@ def demo_concurrent_fences(machine: NetworkMachine) -> None:
 
 
 def main() -> None:
-    machine = NetworkMachine(dims=(2, 2, 2), chip_cols=6, chip_rows=6,
-                             seed=2)
+    machine = NetworkMachine(config=MachineConfig(
+        dims=(2, 2, 2), chip_cols=6, chip_rows=6, seed=2))
     demo_barrier_scaling(machine)
     demo_merge_mechanics()
     demo_concurrent_fences(machine)

@@ -12,7 +12,12 @@ Run:  python examples/quickstart.py
 
 from repro.compression import ParticleCacheChannel, PositionPacket, inz
 from repro.fence import FenceEngine
-from repro.netsim import CoreAddress, NetworkMachine, PingPongHarness
+from repro.netsim import (
+    CoreAddress,
+    MachineConfig,
+    NetworkMachine,
+    PingPongHarness,
+)
 
 
 def demo_counted_write(machine: NetworkMachine) -> None:
@@ -68,8 +73,8 @@ def demo_fence(machine: NetworkMachine) -> None:
 def main() -> None:
     print("Building a 2x2x2 simulated Anton 3 machine "
           "(reduced 6x6 chips for speed)...\n")
-    machine = NetworkMachine(dims=(2, 2, 2), chip_cols=6, chip_rows=6,
-                             seed=1)
+    machine = NetworkMachine(config=MachineConfig(
+        dims=(2, 2, 2), chip_cols=6, chip_rows=6, seed=1))
     demo_counted_write(machine)
     demo_inz()
     demo_particle_cache()

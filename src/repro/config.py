@@ -12,8 +12,8 @@ describe the machine as published.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Dict, Tuple
+from dataclasses import dataclass
+from typing import Dict
 
 # ---------------------------------------------------------------------------
 # Table I: key features for the three Anton ASICs.
@@ -172,29 +172,7 @@ class ChipConfig:
         return bits / self.neighbor_bandwidth_gbps
 
 
-@dataclass(frozen=True)
-class MachineConfig:
-    """A machine is a 3D torus of nodes, one ASIC per node."""
-
-    dims: Tuple[int, int, int] = (4, 4, 8)     # the paper's 128-node machine
-    chip: ChipConfig = field(default_factory=ChipConfig)
-
-    @property
-    def num_nodes(self) -> int:
-        x, y, z = self.dims
-        return x * y * z
-
-    @property
-    def diameter_hops(self) -> int:
-        """Maximum minimal hop distance between any two nodes."""
-        return sum(d // 2 for d in self.dims)
-
-    def scaled(self, dims: Tuple[int, int, int]) -> "MachineConfig":
-        return replace(self, dims=dims)
-
-
 DEFAULT_CHIP = ChipConfig()
-DEFAULT_MACHINE = MachineConfig()
 
 # Published headline measurements used as reproduction targets.
 PAPER_MIN_ONE_HOP_LATENCY_NS = 55.0

@@ -1,13 +1,10 @@
 """Discrete-event simulation kernel (substrate)."""
 
-from .events import Event, EventQueue
 from .seeding import derive_seed
 from .simulator import SimulationError, Simulator
 from .stats import Counter, Histogram, StatsRegistry, Summary, TimeSeries
 
 __all__ = [
-    "Event",
-    "EventQueue",
     "derive_seed",
     "SimulationError",
     "Simulator",

@@ -23,7 +23,6 @@ from typing import Dict, Optional, Sequence
 
 from ..netsim.config import MachineConfig
 from ..netsim.machine import NetworkMachine
-from ..netsim.surface import build_machine
 from ..topology.torus import Coord, DIRECTIONS
 from .schedule import random_fault_schedule
 
@@ -70,7 +69,7 @@ def _faulted_machine(dims: Sequence[int], chip_cols: int, chip_rows: int,
                      fault_seed: int, fault_kind: str) -> NetworkMachine:
     faults = random_fault_schedule(tuple(dims), num_faults, seed=fault_seed,
                                    kind=fault_kind)
-    return build_machine(config=MachineConfig(
+    return NetworkMachine(config=MachineConfig(
         dims=tuple(dims), chip_cols=chip_cols, chip_rows=chip_rows,
         seed=machine_seed, routing=routing,
         faults=faults if len(faults) else None))

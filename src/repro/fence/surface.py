@@ -10,7 +10,7 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from ..netsim.config import MachineConfig
-from ..netsim.surface import build_machine
+from ..netsim.machine import NetworkMachine
 from .engine import FenceEngine, FencePattern
 
 
@@ -34,9 +34,15 @@ def measure_fence_curve(
     """
     from ..analysis.fits import fit_latency_vs_hops
 
-    machine = build_machine(config=MachineConfig(
-        dims=tuple(dims), chip_cols=chip_cols, chip_rows=chip_rows,
-        seed=seed, routing="randomized-minimal"))
+    machine = NetworkMachine(
+        config=MachineConfig(
+            dims=tuple(dims),
+            chip_cols=chip_cols,
+            chip_rows=chip_rows,
+            seed=seed,
+            routing="randomized-minimal",
+        )
+    )
     engine = FenceEngine(machine, request_vcs=request_vcs, slices=slices)
     if hops is None:
         limit = machine.torus.dims.diameter if max_hops is None else max_hops

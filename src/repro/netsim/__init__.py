@@ -26,7 +26,7 @@ from .packet import (
 )
 from .params import DEFAULT_PARAMS, LatencyParams
 from .pingpong import PingPongHarness, PingPongResult
-from .surface import build_machine, measure_latency_curve, measure_min_one_hop
+from .surface import measure_latency_curve, measure_min_one_hop
 
 __all__ = [
     "ChipNetwork",
@@ -59,7 +59,6 @@ __all__ = [
     "LatencyParams",
     "PingPongHarness",
     "PingPongResult",
-    "build_machine",
     "measure_latency_curve",
     "measure_min_one_hop",
 ]

@@ -4,10 +4,7 @@
 :class:`~repro.netsim.machine.NetworkMachine` takes — topology dims,
 latency parameters, chip grid, seed, routing policy, delivered-packet
 retention, and the fault schedule — into a single frozen dataclass.
-``NetworkMachine(config=...)`` and ``build_machine(config=...)`` are the
-supported entry points; the historical keyword arguments still work
-through a deprecation shim that builds the equivalent config, and a
-regression test pins that both paths build byte-identical machines.
+``NetworkMachine(config=...)`` is the one way to build a machine.
 
 Freezing the config keeps it safe to share across harnesses, embed in
 experiment parameter dicts (via the fault schedule's ``to_jsonable``),

@@ -11,23 +11,18 @@ from __future__ import annotations
 
 import gc
 import random
-import warnings
 from contextlib import contextmanager
-from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from ..engine.seeding import derive_seed
 from ..engine.simulator import Simulator
 from ..faults import FaultAdviser, FaultInjector, FaultState
-from ..routing import DEFAULT_POLICY, RoutePlan, RoutingPolicy, make_policy
+from ..routing import RoutePlan, RoutingPolicy, make_policy
 from ..topology.torus import Coord, DIRECTIONS, Torus3D
 from .chip import ChipNetwork, GcEndpoint
 from .config import MachineConfig
 from .fabric import FabricError, Link
 from .packet import CoreAddress, Packet, PacketKind, TrafficClass
-from .params import DEFAULT_PARAMS, LatencyParams
-
-_UNSET = object()  # sentinel distinguishing "not passed" from any value
 
 
 @contextmanager
@@ -53,38 +48,13 @@ def _gc_paused() -> Iterator[None]:
 class NetworkMachine:
     """A torus of simulated Anton 3 node networks.
 
-    The supported constructor is the keyword-only ``config`` path::
+    Every knob lives in one :class:`~repro.netsim.config.MachineConfig`,
+    passed as the keyword-only ``config``::
 
         NetworkMachine(config=MachineConfig(dims=(4, 4, 8), seed=3))
-
-    The historical per-field keyword arguments (``dims``, ``params``,
-    ``chip_cols``, ``chip_rows``, ``seed``, ``routing``) still work but
-    are deprecated; they are folded into an equivalent
-    :class:`~repro.netsim.config.MachineConfig`, so both paths build
-    byte-identical machines (pinned by tests/test_faults.py).
     """
 
-    def __init__(self, dims: Sequence[int] = _UNSET,
-                 params: LatencyParams = _UNSET,
-                 chip_cols: int = _UNSET, chip_rows: int = _UNSET,
-                 seed: int = _UNSET,
-                 routing: "str | RoutingPolicy" = _UNSET, *,
-                 config: Optional[MachineConfig] = None) -> None:
-        legacy = {name: value for name, value in (
-            ("dims", dims), ("params", params), ("chip_cols", chip_cols),
-            ("chip_rows", chip_rows), ("seed", seed), ("routing", routing),
-        ) if value is not _UNSET}
-        if config is not None and legacy:
-            raise TypeError(
-                "pass either config= or the legacy keyword arguments "
-                f"({sorted(legacy)}), not both")
-        if config is None:
-            if legacy:
-                warnings.warn(
-                    "NetworkMachine(dims=..., ...) keyword arguments are "
-                    "deprecated; pass config=MachineConfig(...) instead",
-                    DeprecationWarning, stacklevel=2)
-            config = MachineConfig(**legacy)
+    def __init__(self, *, config: MachineConfig) -> None:
         self.config = config
         self.sim = Simulator()
         self.torus = Torus3D(config.dims)

@@ -3,8 +3,10 @@
 These are the picklable entry points the parallel runner
 (:mod:`repro.runner`) fans out across worker processes: plain JSON-able
 parameters in, JSON-able results out, and a fresh machine per call so
-concurrent runs never share mutable simulator state.  The benchmark
-suite declares its Figure 5 / scaling grids in terms of these functions.
+concurrent runs never share mutable simulator state.  Each builds its
+machine with ``NetworkMachine(config=MachineConfig(...))``, the one
+construction path.  The benchmark suite declares its Figure 5 / scaling
+grids in terms of these functions.
 """
 
 from __future__ import annotations
@@ -14,43 +16,6 @@ from typing import Dict, Optional, Sequence
 from .config import MachineConfig
 from .machine import NetworkMachine
 from .pingpong import PingPongHarness
-
-_UNSET = object()
-
-
-def build_machine(
-    dims: Sequence[int] = _UNSET,
-    chip_cols: int = _UNSET,
-    chip_rows: int = _UNSET,
-    seed: int = _UNSET,
-    routing: str = _UNSET,
-    *,
-    config: Optional[MachineConfig] = None,
-) -> NetworkMachine:
-    """A fresh :class:`NetworkMachine` with its own simulator kernel.
-
-    The supported entry point is ``build_machine(config=...)`` with a
-    :class:`~repro.netsim.config.MachineConfig`.  The historical
-    per-field arguments (``dims`` defaulting to the 128-node
-    ``(4, 4, 8)``, ``chip_cols``, ``chip_rows``, ``seed``, ``routing``)
-    still work and are folded into an equivalent config, so both paths
-    build byte-identical machines: per-chip RNG streams derive from
-    ``seed`` with :func:`repro.engine.seeding.derive_seed` either way.
-    """
-    legacy = {name: value for name, value in (
-        ("dims", dims), ("chip_cols", chip_cols), ("chip_rows", chip_rows),
-        ("seed", seed), ("routing", routing)) if value is not _UNSET}
-    if config is not None:
-        if legacy:
-            raise TypeError(
-                "pass either config= or the legacy arguments "
-                f"({sorted(legacy)}), not both")
-        return NetworkMachine(config=config)
-    fields = {"dims": (4, 4, 8), "chip_cols": 24, "chip_rows": 12,
-              "seed": 0, "routing": "randomized-minimal"}
-    fields.update(legacy)
-    fields["dims"] = tuple(fields["dims"])
-    return NetworkMachine(config=MachineConfig(**fields))
 
 
 def measure_latency_curve(
@@ -72,7 +37,7 @@ def measure_latency_curve(
     from ..analysis.aggregate import summarize_values
     from ..analysis.fits import fit_latency_vs_hops
 
-    machine = build_machine(config=MachineConfig(
+    machine = NetworkMachine(config=MachineConfig(
         dims=tuple(dims), chip_cols=chip_cols, chip_rows=chip_rows,
         seed=machine_seed, routing="randomized-minimal"))
     harness = PingPongHarness(machine, seed=harness_seed)
@@ -111,7 +76,7 @@ def measure_min_one_hop(
     samples: int = 30,
 ) -> dict:
     """Best-placement single-hop latency (the paper's ~55 ns number)."""
-    machine = build_machine(config=MachineConfig(
+    machine = NetworkMachine(config=MachineConfig(
         dims=tuple(dims), chip_cols=chip_cols, chip_rows=chip_rows,
         seed=machine_seed, routing="randomized-minimal"))
     harness = PingPongHarness(machine, seed=harness_seed)

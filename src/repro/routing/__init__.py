@@ -27,9 +27,10 @@ Policies:
 
 Quick use::
 
-    from repro.netsim import NetworkMachine
+    from repro.netsim import MachineConfig, NetworkMachine
 
-    machine = NetworkMachine(dims=(4, 1, 1), routing="valiant")
+    machine = NetworkMachine(config=MachineConfig(
+        dims=(4, 1, 1), routing="valiant"))
 
 or, for the latency-load ablation curves::
 

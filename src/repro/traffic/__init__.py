@@ -13,10 +13,11 @@ warmup/measure/drain discipline.  Saturation detection lives in
 
 Quick use::
 
-    from repro.netsim import NetworkMachine
+    from repro.netsim import MachineConfig, NetworkMachine
     from repro.traffic import OpenLoopHarness, make_pattern
 
-    machine = NetworkMachine(dims=(2, 2, 2), chip_cols=6, chip_rows=6)
+    machine = NetworkMachine(config=MachineConfig(
+        dims=(2, 2, 2), chip_cols=6, chip_rows=6))
     pattern = make_pattern("uniform", machine.torus)
     result = OpenLoopHarness(machine, pattern, offered_load=0.2).run()
     print(result.request_latency_ns)

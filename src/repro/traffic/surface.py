@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from ..netsim.config import MachineConfig
-from ..netsim.surface import build_machine
+from ..netsim.machine import NetworkMachine
 from .openloop import OpenLoopHarness
 from .patterns import make_pattern
 
@@ -44,9 +44,15 @@ def measure_load_point(
     offered vs accepted load plus per-traffic-class latency percentiles
     for the measure window.
     """
-    machine = build_machine(config=MachineConfig(
-        dims=tuple(dims), chip_cols=chip_cols, chip_rows=chip_rows,
-        seed=machine_seed, routing=routing))
+    machine = NetworkMachine(
+        config=MachineConfig(
+            dims=tuple(dims),
+            chip_cols=chip_cols,
+            chip_rows=chip_rows,
+            seed=machine_seed,
+            routing=routing,
+        )
+    )
     traffic = make_pattern(pattern, machine.torus, fraction=hotspot_fraction)
     harness = OpenLoopHarness(
         machine,

@@ -33,11 +33,12 @@ complete at destination commit and reads on response return keyed by
 
 Quick use::
 
-    from repro.netsim import NetworkMachine
+    from repro.netsim import MachineConfig, NetworkMachine
     from repro.traffic import make_pattern
     from repro.workload import FixedWindowHarness
 
-    machine = NetworkMachine(dims=(2, 2, 2), chip_cols=6, chip_rows=6)
+    machine = NetworkMachine(config=MachineConfig(
+        dims=(2, 2, 2), chip_cols=6, chip_rows=6))
     pattern = make_pattern("uniform", machine.torus)
     result = FixedWindowHarness(machine, pattern, window=8).run()
     print(result.accepted_load, result.transaction_latency_ns)

@@ -22,7 +22,7 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from ..netsim.config import MachineConfig
-from ..netsim.surface import build_machine
+from ..netsim.machine import NetworkMachine
 from ..traffic.patterns import make_pattern
 from .phases import PhaseLoopHarness, md_timestep_phases
 from .window import FixedWindowHarness
@@ -52,9 +52,15 @@ def measure_window_point(
     percentiles, and mean outstanding occupancy for ``window`` requests
     in flight per node under the named pattern and routing policy.
     """
-    machine = build_machine(config=MachineConfig(
-        dims=tuple(dims), chip_cols=chip_cols, chip_rows=chip_rows,
-        seed=machine_seed, routing=routing))
+    machine = NetworkMachine(
+        config=MachineConfig(
+            dims=tuple(dims),
+            chip_cols=chip_cols,
+            chip_rows=chip_rows,
+            seed=machine_seed,
+            routing=routing,
+        )
+    )
     spatial = make_pattern(pattern, machine.torus, fraction=hotspot_fraction)
     harness = FixedWindowHarness(
         machine,
@@ -118,9 +124,15 @@ def measure_phase_loop(
     per-iteration time, per-phase burst/fence breakdown, and the
     fence-wait fraction.
     """
-    machine = build_machine(config=MachineConfig(
-        dims=tuple(dims), chip_cols=chip_cols, chip_rows=chip_rows,
-        seed=machine_seed, routing=routing))
+    machine = NetworkMachine(
+        config=MachineConfig(
+            dims=tuple(dims),
+            chip_cols=chip_cols,
+            chip_rows=chip_rows,
+            seed=machine_seed,
+            routing=routing,
+        )
+    )
     spatial = make_pattern(pattern, machine.torus, fraction=hotspot_fraction)
     phases = md_timestep_phases(
         machine,

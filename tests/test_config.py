@@ -2,13 +2,7 @@
 
 import pytest
 
-from repro.config import (
-    ASIC_GENERATIONS,
-    DEFAULT_CHIP,
-    DEFAULT_MACHINE,
-    ChipConfig,
-    MachineConfig,
-)
+from repro.config import ASIC_GENERATIONS, DEFAULT_CHIP
 
 
 class TestTableOne:
@@ -76,20 +70,3 @@ class TestChipConfig:
         assert chip.max_flits_per_packet == 2
         assert chip.input_queue_flits == 8
 
-
-class TestMachineConfig:
-    def test_default_is_papers_128_node_machine(self):
-        assert DEFAULT_MACHINE.dims == (4, 4, 8)
-        assert DEFAULT_MACHINE.num_nodes == 128
-        assert DEFAULT_MACHINE.diameter_hops == 8  # Fig. 11's global barrier
-
-    def test_512_node_scaling(self):
-        machine = DEFAULT_MACHINE.scaled((8, 8, 8))
-        assert machine.num_nodes == 512
-        assert machine.chip is DEFAULT_MACHINE.chip
-
-    def test_8_node_benchmark_machine(self):
-        # Fig. 9 uses a 2x2x2 machine.
-        machine = MachineConfig(dims=(2, 2, 2))
-        assert machine.num_nodes == 8
-        assert machine.diameter_hops == 3

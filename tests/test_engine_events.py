@@ -1,61 +1,8 @@
-"""Unit tests for the event queue and simulator kernel."""
+"""Unit tests for the simulator kernel."""
 
 import pytest
 
-from repro.engine import EventQueue, SimulationError, Simulator
-
-
-class TestEventQueue:
-    def test_empty_queue_pops_none(self):
-        q = EventQueue()
-        assert q.pop() is None
-        assert not q
-        assert len(q) == 0
-
-    def test_orders_by_time(self):
-        q = EventQueue()
-        fired = []
-        q.push(3.0, lambda: fired.append(3))
-        q.push(1.0, lambda: fired.append(1))
-        q.push(2.0, lambda: fired.append(2))
-        while (e := q.pop()) is not None:
-            e.action()
-        assert fired == [1, 2, 3]
-
-    def test_fifo_among_same_time(self):
-        q = EventQueue()
-        fired = []
-        for i in range(10):
-            q.push(5.0, lambda i=i: fired.append(i))
-        while (e := q.pop()) is not None:
-            e.action()
-        assert fired == list(range(10))
-
-    def test_priority_beats_insertion_order(self):
-        q = EventQueue()
-        fired = []
-        q.push(5.0, lambda: fired.append("late"), priority=1)
-        q.push(5.0, lambda: fired.append("early"), priority=0)
-        while (e := q.pop()) is not None:
-            e.action()
-        assert fired == ["early", "late"]
-
-    def test_cancelled_events_are_skipped(self):
-        q = EventQueue()
-        fired = []
-        handle = q.push(1.0, lambda: fired.append("cancelled"))
-        q.push(2.0, lambda: fired.append("kept"))
-        handle.cancel()
-        while (e := q.pop()) is not None:
-            e.action()
-        assert fired == ["kept"]
-
-    def test_peek_time_skips_cancelled(self):
-        q = EventQueue()
-        handle = q.push(1.0, lambda: None)
-        q.push(2.0, lambda: None)
-        handle.cancel()
-        assert q.peek_time() == 2.0
+from repro.engine import SimulationError, Simulator
 
 
 class TestSimulator:
@@ -97,16 +44,6 @@ class TestSimulator:
         assert sim.now == 2.5
         sim.run()
         assert fired == [1.0, 2.0, 3.0, 4.0]
-
-    def test_stop_from_event(self):
-        sim = Simulator()
-        fired = []
-        sim.at(1.0, lambda: (fired.append(1), sim.stop()))
-        sim.at(2.0, lambda: fired.append(2))
-        sim.run()
-        assert fired == [1]
-        sim.run()
-        assert fired == [1, 2]
 
     def test_event_at_until_fires_and_next_does_not(self):
         sim = Simulator()
@@ -151,72 +88,40 @@ class TestSimulator:
         assert fired == list(range(10))
         assert sim.events_processed == 10
 
-    def test_budget_does_not_count_cancelled_events(self):
+    def test_event_past_until_keeps_clock_at_until(self):
         sim = Simulator()
-        fired = []
-        for t in range(4):
-            handle = sim.at(float(t), lambda t=t: fired.append(t))
-            if t % 2 == 0:
-                handle.cancel()
-        sim.run(max_events=1)
-        assert fired == [1]
-        sim.run(max_events=1)
-        assert fired == [1, 3]
-
-    def test_stop_inside_action_stops_the_loop(self):
-        sim = Simulator()
-        fired = []
-
-        def stopper():
-            fired.append("stop")
-            sim.stop()
-            sim.after(0.0, lambda: fired.append("same-time"))
-
-        sim.at(1.0, stopper)
-        sim.at(2.0, lambda: fired.append(2))
-        assert sim.run() == 1.0
-        assert fired == ["stop"]
-        assert sim.events_processed == 1
-        sim.run()
-        assert fired == ["stop", "same-time", 2]
-
-    def test_cancelled_head_event_is_skipped_and_uncounted(self):
-        sim = Simulator()
-        fired = []
-        head = sim.at(1.0, lambda: fired.append(1))
-        sim.at(2.0, lambda: fired.append(2))
-        head.cancel()
-        assert sim.run() == 2.0
-        assert fired == [2]
-        assert sim.events_processed == 1
-        assert sim.pending_events == 0
-
-    def test_cancelled_event_past_until_keeps_clock_at_until(self):
-        sim = Simulator()
-        sim.at(1.0, lambda: None).cancel()
         sim.at(9.0, lambda: None)
         assert sim.run(until=4.0) == 4.0
         assert sim.events_processed == 0
         assert sim.pending_events == 1
 
-    def test_priority_and_fifo_tie_breaks(self):
+    def test_orders_by_time(self):
         sim = Simulator()
         fired = []
-        sim.at(5.0, lambda: fired.append("p1-a"), priority=1)
-        sim.at(5.0, lambda: fired.append("p0-a"))
-        sim.at(5.0, lambda: fired.append("p1-b"), priority=1)
-        sim.at(5.0, lambda: fired.append("p0-b"))
-        sim.at(4.0, lambda: fired.append("early"), priority=9)
+        sim.at(3.0, lambda: fired.append(3))
+        sim.at(1.0, lambda: fired.append(1))
+        sim.at(2.0, lambda: fired.append(2))
         sim.run()
-        assert fired == ["early", "p0-a", "p0-b", "p1-a", "p1-b"]
+        assert fired == [1, 2, 3]
 
-    def test_event_handle_keeps_priority_and_tag(self):
+    def test_fifo_among_same_time(self):
         sim = Simulator()
-        handle = sim.after(2.0, lambda: None, priority=3, tag="probe")
-        assert (handle.time, handle.priority, handle.tag) == (2.0, 3, "probe")
-        assert not handle.cancelled
-        handle.cancel()
-        assert handle.cancelled
+        fired = []
+        for i in range(10):
+            sim.at(5.0, lambda i=i: fired.append(i))
+        sim.run()
+        assert fired == list(range(10))
+
+    def test_fifo_tie_breaks(self):
+        """Same-time events fire in scheduling order, wherever scheduled."""
+        sim = Simulator()
+        fired = []
+        sim.at(5.0, lambda: fired.append("a"))
+        sim.at(4.0, lambda: (fired.append("early"),
+                             sim.at(5.0, lambda: fired.append("c"))))
+        sim.at(5.0, lambda: fired.append("b"))
+        sim.run()
+        assert fired == ["early", "a", "b", "c"]
 
     def test_events_processed_counter(self):
         sim = Simulator()
@@ -234,14 +139,6 @@ class TestSimulator:
         sim.at(0.0, reschedule)
         with pytest.raises(SimulationError):
             sim.run_until_idle(max_events=100)
-
-    def test_reset(self):
-        sim = Simulator()
-        sim.at(1.0, lambda: None)
-        sim.run()
-        sim.reset()
-        assert sim.now == 0.0
-        assert sim.pending_events == 0
 
     def test_deterministic_cascades(self):
         """Two identical simulations interleave identically."""

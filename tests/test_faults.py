@@ -1,8 +1,6 @@
 """Tests for fault injection and degraded-mode routing (repro.faults),
 plus the unified MachineConfig construction API (repro.netsim.config)."""
 
-import warnings
-
 import pytest
 
 from repro.faults import (
@@ -20,7 +18,6 @@ from repro.faults import (
 from repro.faults.schedule import _live_graph_connected
 from repro.netsim import MachineConfig, NetworkMachine
 from repro.netsim.fabric import FabricError
-from repro.netsim.surface import build_machine
 from repro.topology.torus import Torus3D
 
 SMALL = dict(dims=(2, 2, 2), chip_cols=6, chip_rows=6, seed=21)
@@ -134,7 +131,7 @@ class TestRandomSchedules:
 class TestLinkFaults:
     @pytest.fixture(scope="class")
     def machine(self):
-        return build_machine(config=small_config())
+        return NetworkMachine(config=small_config())
 
     def test_failed_link_withdraws_all_credits(self, machine):
         link = machine.channel_link((0, 0, 0), (0, 1), 0)
@@ -180,7 +177,7 @@ class TestFaultState:
 
 
 def faulted_machine(schedule, **overrides):
-    return build_machine(config=small_config(faults=schedule, **overrides))
+    return NetworkMachine(config=small_config(faults=schedule, **overrides))
 
 
 class TestFaultInjection:
@@ -217,7 +214,7 @@ class TestFaultInjection:
         assert machine.sim.now >= 40.0
 
     def test_healthy_machine_carries_no_fault_machinery(self):
-        machine = build_machine(config=small_config())
+        machine = NetworkMachine(config=small_config())
         assert not machine.fault_state.active
         assert machine.fault_adviser is None
         assert all(chip.fault_adviser is None
@@ -310,35 +307,14 @@ class TestDegradedTraffic:
 
 
 # ---------------------------------------------------------------------------
-# MachineConfig: one construction surface, legacy kwargs shimmed.
+# MachineConfig: the one construction surface.
 # ---------------------------------------------------------------------------
 
 
 class TestMachineConfig:
-    def test_config_and_legacy_paths_build_identical_machines(self):
-        from repro.fence import FenceEngine
-
-        via_config = NetworkMachine(config=small_config())
-        with pytest.warns(DeprecationWarning):
-            via_legacy = NetworkMachine(**SMALL)
-        assert via_config.config == via_legacy.config
-        # Same derived RNG streams chip for chip...
-        for coord in via_config.torus.nodes():
-            assert (via_config.chips[coord]._rng.getstate()
-                    == via_legacy.chips[coord]._rng.getstate())
-        # ...and the same simulated behavior.
-        assert (FenceEngine(via_config).barrier_latency(2)
-                == FenceEngine(via_legacy).barrier_latency(2))
-
-    def test_build_machine_legacy_kwargs_fold_into_config(self):
-        machine = build_machine(**SMALL)
-        assert machine.config == small_config()
-
-    def test_mixing_config_and_legacy_rejected(self):
-        with pytest.raises(TypeError, match="not both"):
-            build_machine(dims=(2, 2, 2), config=small_config())
+    def test_legacy_keywords_rejected(self):
         with pytest.raises(TypeError):
-            NetworkMachine(dims=(2, 2, 2), config=small_config())
+            NetworkMachine(dims=(2, 2, 2))
 
     def test_config_validates_chip_grid(self):
         with pytest.raises(ValueError):
@@ -357,10 +333,5 @@ class TestMachineConfig:
             config.seed = 99
 
     def test_record_delivered_flag_respected(self):
-        machine = build_machine(config=small_config(record_delivered=False))
+        machine = NetworkMachine(config=small_config(record_delivered=False))
         assert machine.chips[(0, 0, 0)].record_delivered is False
-
-    def test_legacy_warning_not_raised_on_config_path(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            build_machine(config=small_config())

@@ -125,8 +125,8 @@ class TestFenceFlood:
 
 @pytest.fixture(scope="module")
 def small_machine():
-    machine = NetworkMachine(dims=(2, 2, 2), chip_cols=6, chip_rows=6,
-                             seed=21)
+    machine = NetworkMachine(config=MachineConfig(
+        dims=(2, 2, 2), chip_cols=6, chip_rows=6, seed=21))
     return machine, FenceEngine(machine)
 
 
@@ -169,7 +169,8 @@ class TestFenceEngine:
             engine.start_fence(-1)
 
     def test_concurrent_fence_limit(self):
-        machine = NetworkMachine(dims=(1, 1, 2), chip_cols=6, chip_rows=6)
+        machine = NetworkMachine(config=MachineConfig(
+            dims=(1, 1, 2), chip_cols=6, chip_rows=6))
         engine = FenceEngine(machine)
         for __ in range(FenceEngine.MAX_CONCURRENT):
             engine.start_fence(0)
@@ -177,7 +178,8 @@ class TestFenceEngine:
             engine.start_fence(0)
 
     def test_concurrent_fences_all_complete(self):
-        machine = NetworkMachine(dims=(2, 1, 2), chip_cols=6, chip_rows=6)
+        machine = NetworkMachine(config=MachineConfig(
+            dims=(2, 1, 2), chip_cols=6, chip_rows=6))
         engine = FenceEngine(machine)
         done = []
         for __ in range(3):
@@ -196,7 +198,8 @@ class TestFenceEngine:
         assert sorted(completions) == sorted(machine.torus.nodes())
 
     def test_custom_timing(self):
-        machine = NetworkMachine(dims=(1, 1, 2), chip_cols=6, chip_rows=6)
+        machine = NetworkMachine(config=MachineConfig(
+            dims=(1, 1, 2), chip_cols=6, chip_rows=6))
         timing = FenceTiming(aggregation_ns=10.0, delivery_ns=5.0)
         engine = FenceEngine(machine, timing=timing)
         assert engine.barrier_latency(0) == pytest.approx(15.0)

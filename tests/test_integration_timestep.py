@@ -14,15 +14,15 @@ import pytest
 
 from repro.fence import FenceEngine, FencePattern
 from repro.md import Decomposition, FixedPointCodec, MdEngine
-from repro.netsim import CoreAddress, NetworkMachine
+from repro.netsim import CoreAddress, MachineConfig, NetworkMachine
 
 
 @pytest.fixture(scope="module")
 def setup():
     md = MdEngine.water(128, seed=5)
     snapshots = md.run(1)
-    machine = NetworkMachine(dims=(2, 1, 1), chip_cols=6, chip_rows=6,
-                             seed=6)
+    machine = NetworkMachine(config=MachineConfig(
+        dims=(2, 1, 1), chip_cols=6, chip_rows=6, seed=6))
     decomp = Decomposition(box=md.system.box, node_dims=(2, 1, 1))
     return md, snapshots[0], machine, decomp
 

@@ -7,12 +7,13 @@ packets, and every injected packet must still be delivered exactly once.
 
 import pytest
 
-from repro.netsim import CoreAddress, NetworkMachine
+from repro.netsim import CoreAddress, MachineConfig, NetworkMachine
 
 
 @pytest.fixture
 def machine():
-    return NetworkMachine(dims=(2, 1, 1), chip_cols=6, chip_rows=6, seed=41)
+    return NetworkMachine(config=MachineConfig(
+        dims=(2, 1, 1), chip_cols=6, chip_rows=6, seed=41))
 
 
 class TestChannelSerialization:
@@ -37,8 +38,8 @@ class TestChannelSerialization:
 
     def test_two_slices_drain_faster_than_one(self, machine):
         def run_burst(slice_choice):
-            m = NetworkMachine(dims=(2, 1, 1), chip_cols=6, chip_rows=6,
-                               seed=43)
+            m = NetworkMachine(config=MachineConfig(
+                dims=(2, 1, 1), chip_cols=6, chip_rows=6, seed=43))
             packets = []
             for i in range(80):
                 slice_index = slice_choice(i)

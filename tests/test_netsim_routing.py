@@ -6,13 +6,20 @@ routing logic is identical to the full-size 24x12 configuration.
 
 import pytest
 
-from repro.netsim import CoreAddress, NetworkMachine, PacketKind, TrafficClass
+from repro.netsim import (
+    CoreAddress,
+    MachineConfig,
+    NetworkMachine,
+    PacketKind,
+    TrafficClass,
+)
 from repro.netsim.packet import Packet
 
 
 @pytest.fixture(scope="module")
 def machine():
-    return NetworkMachine(dims=(2, 2, 2), chip_cols=6, chip_rows=6, seed=7)
+    return NetworkMachine(config=MachineConfig(
+        dims=(2, 2, 2), chip_cols=6, chip_rows=6, seed=7))
 
 
 def run_write(machine, src_node, src_core, dst_node, dst_core, words=(1, 2, 3, 4),
@@ -112,8 +119,8 @@ class TestObliviousRouting:
 
     def test_deterministic_given_seed(self, hop_recorder):
         def run_once():
-            m = NetworkMachine(dims=(2, 2, 2), chip_cols=6, chip_rows=6,
-                               seed=3)
+            m = NetworkMachine(config=MachineConfig(
+                dims=(2, 2, 2), chip_cols=6, chip_rows=6, seed=3))
             p = m.send_counted_write((0, 0, 0), CoreAddress(1, 1, 0),
                                      (1, 1, 0), CoreAddress(2, 2, 0))
             m.sim.run()
@@ -125,8 +132,8 @@ class TestEdgeNetworkPolicy:
     def test_through_traffic_uses_outer_column(self, hop_recorder):
         """Intra-dimensional through packets only touch column 2 at the
         intermediate node (Figure 4, blue route)."""
-        machine = NetworkMachine(dims=(4, 2, 2), chip_cols=6, chip_rows=6,
-                                 seed=11)
+        machine = NetworkMachine(config=MachineConfig(
+            dims=(4, 2, 2), chip_cols=6, chip_rows=6, seed=11))
         # 2 hops along +X: node (1,0,0) is a pure through node.
         packet = machine.send_counted_write(
             (0, 0, 0), CoreAddress(0, 0, 0), (2, 0, 0), CoreAddress(0, 0, 0))
@@ -140,8 +147,8 @@ class TestEdgeNetworkPolicy:
             assert col == 2, f"through traffic left the outer column: {hop}"
 
     def test_turning_traffic_uses_inner_columns(self, hop_recorder):
-        machine = NetworkMachine(dims=(2, 2, 2), chip_cols=6, chip_rows=6,
-                                 seed=13)
+        machine = NetworkMachine(config=MachineConfig(
+            dims=(2, 2, 2), chip_cols=6, chip_rows=6, seed=13))
         # Find a packet that turns (X then Y) at the intermediate node.
         for attempt in range(40):
             packet = machine.make_request(
@@ -165,8 +172,8 @@ class TestEdgeNetworkPolicy:
 
 class TestChannelAccounting:
     def test_channel_flits_counted(self):
-        machine = NetworkMachine(dims=(2, 2, 2), chip_cols=6, chip_rows=6,
-                                 seed=5)
+        machine = NetworkMachine(config=MachineConfig(
+            dims=(2, 2, 2), chip_cols=6, chip_rows=6, seed=5))
         before = machine.total_channel_flits()
         machine.send_counted_write((0, 0, 0), CoreAddress(0, 0, 0),
                                    (1, 0, 0), CoreAddress(0, 0, 0))

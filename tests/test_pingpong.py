@@ -12,12 +12,17 @@ from repro.config import (
     PAPER_LATENCY_PER_HOP_NS,
     PAPER_MIN_ONE_HOP_LATENCY_NS,
 )
-from repro.netsim import CoreAddress, NetworkMachine, PingPongHarness
+from repro.netsim import (
+    CoreAddress,
+    MachineConfig,
+    NetworkMachine,
+    PingPongHarness,
+)
 
 
 @pytest.fixture(scope="module")
 def machine128():
-    return NetworkMachine(dims=(4, 4, 8), seed=5)
+    return NetworkMachine(config=MachineConfig(dims=(4, 4, 8), seed=5))
 
 
 @pytest.fixture(scope="module")
@@ -79,8 +84,8 @@ class TestStatsSurface:
     audit surface for observability; return values stay authoritative."""
 
     def small_harness(self):
-        machine = NetworkMachine(dims=(1, 1, 2), chip_cols=6, chip_rows=6,
-                                 seed=21)
+        machine = NetworkMachine(config=MachineConfig(
+            dims=(1, 1, 2), chip_cols=6, chip_rows=6, seed=21))
         return PingPongHarness(machine, seed=3)
 
     def test_rounds_feed_summary_and_histogram(self):

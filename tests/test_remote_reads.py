@@ -10,6 +10,7 @@ import pytest
 
 from repro.netsim import (
     CoreAddress,
+    MachineConfig,
     NetworkMachine,
     PacketKind,
     RESPONSE_VC,
@@ -19,7 +20,8 @@ from repro.netsim import (
 
 @pytest.fixture(scope="module")
 def machine():
-    return NetworkMachine(dims=(3, 2, 2), chip_cols=6, chip_rows=6, seed=31)
+    return NetworkMachine(config=MachineConfig(
+        dims=(3, 2, 2), chip_cols=6, chip_rows=6, seed=31))
 
 
 def do_read(machine, src_node, dst_node, quad=5, reply=9,

@@ -11,7 +11,13 @@ import random
 
 import pytest
 
-from repro.netsim import CoreAddress, NetworkMachine, PacketKind, TrafficClass
+from repro.netsim import (
+    CoreAddress,
+    MachineConfig,
+    NetworkMachine,
+    PacketKind,
+    TrafficClass,
+)
 from repro.netsim.packet import ADAPTIVE_VC, Packet, request_vc
 from repro.routing import (
     DEFAULT_POLICY,
@@ -184,8 +190,9 @@ class TestAdaptiveLite:
         assert len(orders) == 6  # all six orders remain in play
 
     def test_machine_probe_reports_queued_channel_packets(self):
-        machine = NetworkMachine(dims=(2, 1, 1), chip_cols=6, chip_rows=6,
-                                 seed=3, routing="adaptive-lite")
+        machine = NetworkMachine(config=MachineConfig(
+            dims=(2, 1, 1), chip_cols=6, chip_rows=6, seed=3,
+            routing="adaptive-lite"))
         assert machine._channel_congestion((0, 0, 0), (0, 1)) == 0.0
 
 
@@ -345,15 +352,17 @@ class TestAdaptiveEscape:
                         rng=random.Random(5))
 
     def test_machine_exposes_adaptive_vc_state(self):
-        machine = NetworkMachine(dims=(2, 1, 1), chip_cols=6, chip_rows=6,
-                                 seed=3, routing="adaptive-escape")
+        machine = NetworkMachine(config=MachineConfig(
+            dims=(2, 1, 1), chip_cols=6, chip_rows=6, seed=3,
+            routing="adaptive-escape"))
         chip = machine.chip((0, 0, 0))
         credits, queued = chip.adaptive_vc_state((0, 1), 0)
         assert credits == 8 and queued == 0
 
     def test_light_traffic_rides_the_adaptive_vc_only(self):
-        machine = NetworkMachine(dims=(3, 2, 2), chip_cols=6, chip_rows=6,
-                                 seed=9, routing="adaptive-escape")
+        machine = NetworkMachine(config=MachineConfig(
+            dims=(3, 2, 2), chip_cols=6, chip_rows=6, seed=9,
+            routing="adaptive-escape"))
         machine.send_counted_write((0, 0, 0), CoreAddress(0, 0, 0),
                                    (2, 1, 1), CoreAddress(1, 1, 0))
         machine.sim.run()
@@ -366,8 +375,9 @@ class TestAdaptiveEscape:
         # a wrap-heavy ring: some hops must fall back to the dateline
         # escape VCs, and everything still drains (Duato's argument,
         # observed end to end).
-        machine = NetworkMachine(dims=(5, 1, 1), chip_cols=6, chip_rows=6,
-                                 seed=21, routing="adaptive-escape")
+        machine = NetworkMachine(config=MachineConfig(
+            dims=(5, 1, 1), chip_cols=6, chip_rows=6, seed=21,
+            routing="adaptive-escape"))
         packets = []
         for x in range(5):
             for i in range(40):
@@ -385,8 +395,8 @@ class TestAdaptiveEscape:
 class TestMachineIntegration:
     @pytest.mark.parametrize("name", POLICY_NAMES)
     def test_counted_writes_deliver_under_every_policy(self, name):
-        machine = NetworkMachine(dims=(3, 2, 2), chip_cols=6, chip_rows=6,
-                                 seed=9, routing=name)
+        machine = NetworkMachine(config=MachineConfig(
+            dims=(3, 2, 2), chip_cols=6, chip_rows=6, seed=9, routing=name))
         for dst_node in [(1, 0, 0), (2, 1, 1), (0, 1, 1)]:
             packet = machine.send_counted_write(
                 (0, 0, 0), CoreAddress(0, 0, 0), dst_node,
@@ -398,8 +408,8 @@ class TestMachineIntegration:
 
     @pytest.mark.parametrize("name", POLICY_NAMES)
     def test_responses_take_mesh_xyz_regardless_of_policy(self, name):
-        machine = NetworkMachine(dims=(3, 2, 2), chip_cols=6, chip_rows=6,
-                                 seed=9, routing=name)
+        machine = NetworkMachine(config=MachineConfig(
+            dims=(3, 2, 2), chip_cols=6, chip_rows=6, seed=9, routing=name))
         src_node, dst_node = (0, 0, 0), (2, 1, 1)
         src_core, dst_core = CoreAddress(0, 0, 0), CoreAddress(1, 1, 0)
         machine.gc(dst_node, dst_core).sram.counted_write(3, [7, 7, 7, 7])
@@ -421,8 +431,9 @@ class TestMachineIntegration:
             machine.torus.min_hops(dst_node, src_node)
 
     def test_valiant_requests_carry_two_phase_plans(self):
-        machine = NetworkMachine(dims=(2, 2, 2), chip_cols=6, chip_rows=6,
-                                 seed=9, routing="valiant")
+        machine = NetworkMachine(config=MachineConfig(
+            dims=(2, 2, 2), chip_cols=6, chip_rows=6, seed=9,
+            routing="valiant"))
         packet = machine.make_request(
             PacketKind.COUNTED_WRITE, (0, 0, 0), CoreAddress(0, 0, 0),
             (1, 1, 1), CoreAddress(0, 0, 0))
@@ -431,8 +442,9 @@ class TestMachineIntegration:
         assert [phase.vc_class for phase in packet.route.phases] == [0, 1]
 
     def test_pinned_dim_order_bypasses_the_policy(self):
-        machine = NetworkMachine(dims=(2, 2, 2), chip_cols=6, chip_rows=6,
-                                 seed=9, routing="valiant")
+        machine = NetworkMachine(config=MachineConfig(
+            dims=(2, 2, 2), chip_cols=6, chip_rows=6, seed=9,
+            routing="valiant"))
         packet = machine.make_request(
             PacketKind.COUNTED_WRITE, (0, 0, 0), CoreAddress(0, 0, 0),
             (1, 1, 1), CoreAddress(0, 0, 0), dim_order=(2, 1, 0))
@@ -441,14 +453,15 @@ class TestMachineIntegration:
 
     def test_policy_instance_accepted(self):
         torus_policy = make_policy("fixed-xyz", Torus3D((2, 2, 2)))
-        machine = NetworkMachine(dims=(2, 2, 2), chip_cols=6, chip_rows=6,
-                                 routing=torus_policy)
+        machine = NetworkMachine(config=MachineConfig(
+            dims=(2, 2, 2), chip_cols=6, chip_rows=6, routing=torus_policy))
         assert machine.routing is torus_policy
 
     def test_unknown_policy_name_raises(self):
         with pytest.raises(KeyError, match="unknown routing policy"):
-            NetworkMachine(dims=(2, 2, 2), chip_cols=6, chip_rows=6,
-                           routing="best-effort")
+            NetworkMachine(config=MachineConfig(
+                dims=(2, 2, 2), chip_cols=6, chip_rows=6,
+                routing="best-effort"))
 
 
 class TestRingDeadlockFreedom:
@@ -461,8 +474,8 @@ class TestRingDeadlockFreedom:
 
     @pytest.mark.parametrize("name", POLICY_NAMES)
     def test_ring_storm_drains(self, name):
-        machine = NetworkMachine(dims=(5, 1, 1), chip_cols=6, chip_rows=6,
-                                 seed=21, routing=name)
+        machine = NetworkMachine(config=MachineConfig(
+            dims=(5, 1, 1), chip_cols=6, chip_rows=6, seed=21, routing=name))
         packets = []
         for x in range(5):
             for offset in (1, 2):

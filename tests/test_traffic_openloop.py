@@ -4,7 +4,12 @@ import random
 
 import pytest
 
-from repro.netsim import DEFAULT_PARAMS, NetworkMachine, TrafficClass
+from repro.netsim import (
+    DEFAULT_PARAMS,
+    MachineConfig,
+    NetworkMachine,
+    TrafficClass,
+)
 from repro.traffic import (
     InjectionProcess,
     OpenLoopHarness,
@@ -17,8 +22,8 @@ TINY = dict(dims=(2, 1, 1), chip_cols=6, chip_rows=6)
 
 
 def tiny_machine(seed=0):
-    return NetworkMachine(dims=(2, 1, 1), chip_cols=6, chip_rows=6,
-                          seed=seed)
+    return NetworkMachine(config=MachineConfig(
+        dims=(2, 1, 1), chip_cols=6, chip_rows=6, seed=seed))
 
 
 class TestInjectionProcess:

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.netsim import NetworkMachine, TrafficClass
+from repro.netsim import MachineConfig, NetworkMachine, TrafficClass
 from repro.traffic import make_pattern
 from repro.workload import (
     ClosedLoopDriver,
@@ -21,7 +21,8 @@ TINY = dict(dims=(2, 1, 1), chip_cols=6, chip_rows=6)
 
 
 def tiny_machine(seed=0, dims=(2, 1, 1)):
-    return NetworkMachine(dims=dims, chip_cols=6, chip_rows=6, seed=seed)
+    return NetworkMachine(config=MachineConfig(
+        dims=dims, chip_cols=6, chip_rows=6, seed=seed))
 
 
 class TestClosedLoopDriver:
