@@ -112,6 +112,11 @@ class _CacheCore:
                  evict_threshold: int = 1) -> None:
         if entries % ways:
             raise ValueError("entries must be a multiple of ways")
+        if evict_threshold < 0:
+            # A negative threshold would make an entry installed or hit
+            # in the current step stale, so a packet could evict the
+            # entry the previous packet of the same step just used.
+            raise ValueError("evict_threshold must be non-negative")
         self.num_sets = entries // ways
         self.ways = ways
         self.delta_bits = delta_bits

@@ -16,7 +16,11 @@ Semantics relative to the reference object model
   (hardware processes packets in stream order; the difference is only
   visible when a miss evicts an entry that is hit *later in the same
   step*, which the stamp-threshold policy makes impossible: entries hit
-  in the current step are never stale).
+  or installed in the current step are never stale, because
+  ``evict_threshold`` may not be negative).
+* Misses are allocated all at once, with the same ways, evictions and
+  allocation failures as taking them one by one in stream order (see
+  :meth:`VectorParticleCache._allocate`).
 * Only the byte counts of the transmitted residuals are produced — the
   send and receive sides are mirrors, so one array suffices for traffic
   accounting.
@@ -25,7 +29,6 @@ Semantics relative to the reference object model
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
 
 import numpy as np
 
@@ -64,6 +67,8 @@ class VectorParticleCache:
                  evict_threshold: int = 1) -> None:
         if entries % ways:
             raise ValueError("entries must be a multiple of ways")
+        if evict_threshold < 0:
+            raise ValueError("evict_threshold must be non-negative")
         self.num_sets = entries // ways
         self.ways = ways
         self.order = order
@@ -127,30 +132,53 @@ class VectorParticleCache:
             self.stamps[hs, hw] = self.step
 
         allocated = np.zeros(m, dtype=bool)
-        miss_indices = np.nonzero(~hit)[0]
-        for i in miss_indices:
-            s = set_idx[i]
-            ways_tags = self.tags[s]
-            free = np.nonzero(ways_tags < 0)[0]
-            if len(free):
-                w = free[0]
-            else:
-                stale = np.nonzero(
-                    self.step - self.stamps[s] > self.evict_threshold)[0]
-                if len(stale) == 0:
-                    continue  # allocation failure: full packet, no entry
-                w = stale[np.argmin(self.stamps[s][stale])]
-                self.total_evictions += 1
-            self.tags[s, w] = ids[i]
-            self.stamps[s, w] = self.step
-            self.d0[s, w] = pos[i]
-            self.d1[s, w] = 0
-            self.d2[s, w] = 0
-            allocated[i] = True
+        miss = np.nonzero(~hit)[0]
+        if len(miss):
+            allocated[self._allocate(miss, set_idx[miss], ids, pos)] = True
 
         self.total_hits += int(hit.sum())
         self.total_misses += int((~hit).sum())
         return BatchResult(hit=hit, residuals=residuals, allocated=allocated)
+
+    def _allocate(self, miss: np.ndarray, miss_sets: np.ndarray,
+                  ids: np.ndarray, pos: np.ndarray) -> np.ndarray:
+        """Install the batch's misses, all sets at once; returns the
+        misses that got an entry.
+
+        Taken one by one in stream order, a miss takes its set's first
+        invalid way, else the stale way with the oldest stamp (lowest
+        way on a tie).  The way it fills is fresh, so it is never taken
+        again this step.  Hence the k-th miss of a set takes the set's
+        k-th *candidate*: its invalid ways in way order, then its stale
+        ways by (stamp, way).  A miss past the last candidate installs
+        nothing (an allocation failure: the packet goes out full).
+        """
+        order = np.argsort(miss_sets, kind="stable")
+        sets, starts, counts = np.unique(miss_sets[order], return_index=True,
+                                         return_counts=True)
+        # Each miss's set (as a row of ``sets``) and its rank among that
+        # set's misses, in stream order.
+        row = np.repeat(np.arange(len(sets)), counts)
+        rank = np.arange(len(order)) - np.repeat(starts, counts)
+        stamps = self.stamps[sets]
+        free = self.tags[sets] < 0
+        stale = self.step - stamps > self.evict_threshold
+        # Invalid ways sort first, then stale ways by stamp, then the
+        # rest; the stable sort breaks every tie by way.
+        key = np.where(free, -1,
+                       np.where(stale, stamps, np.iinfo(np.int64).max))
+        candidates = np.argsort(key, axis=1, kind="stable")
+        ok = rank < (free | stale).sum(axis=1)[row]
+        row, m = row[ok], miss[order[ok]]
+        w = candidates[row, rank[ok]]
+        s = sets[row]
+        self.total_evictions += int(np.count_nonzero(~free[row, w]))
+        self.tags[s, w] = ids[m]
+        self.stamps[s, w] = self.step
+        self.d0[s, w] = pos[m]
+        self.d1[s, w] = 0
+        self.d2[s, w] = 0
+        return m
 
     def end_of_step(self) -> None:
         self.step += 1

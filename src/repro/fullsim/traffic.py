@@ -24,7 +24,7 @@ simulated MD data — no analytic approximation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -87,6 +87,114 @@ class StepTraffic:
         return max(self.per_channel_bits.values(), default=0)
 
 
+#: (channel, atom ids) in channel order; the ids are in the order their
+#: packets cross the channel.
+ChannelStreams = List[Tuple[DirectedChannel, np.ndarray]]
+
+
+@dataclass(frozen=True)
+class StepRoutes:
+    """Where one snapshot's packets go: every channel's position exports
+    and force returns.  It does not depend on the compression config."""
+
+    positions: ChannelStreams
+    forces: ChannelStreams
+
+
+def _group_atoms(masks: np.ndarray, home: np.ndarray,
+                 ) -> List[Tuple[int, Tuple[int, ...], np.ndarray]]:
+    """``(home node, marked nodes, atoms)`` for every distinct pair of an
+    atom's home node and the set of nodes whose row of ``masks`` marks it.
+
+    The order is the one that filling dicts node by node would give:
+    atoms in order of first appearance (lowest marked node, then atom
+    index), and groups in order of their first atom.
+    """
+    atoms = np.nonzero(masks.any(axis=0))[0]
+    if len(atoms) == 0:
+        return []
+    marks = masks[:, atoms]
+    order = np.lexsort((atoms, np.argmax(marks, axis=0)))
+    atoms, marks = atoms[order], marks[:, order]
+    keys = np.vstack((home[atoms], np.packbits(marks, axis=0))).T
+    __, first, inverse = np.unique(keys, axis=0, return_index=True,
+                                   return_inverse=True)
+    # Number the groups by first appearance, then list each group's
+    # atoms in their order of appearance.
+    first_seen = np.argsort(first)
+    rank = np.empty_like(first_seen)
+    rank[first_seen] = np.arange(len(first_seen))
+    group = rank[inverse.reshape(-1)]
+    members = np.split(atoms[np.argsort(group, kind="stable")],
+                       np.cumsum(np.bincount(group))[:-1])
+    return [(int(home[atoms[column]]),
+             tuple(int(node) for node in np.nonzero(marks[:, column])[0]),
+             group_atoms)
+            for column, group_atoms in zip(first[first_seen], members)]
+
+
+def _by_channel(streams: Dict[DirectedChannel, List[np.ndarray]],
+                ) -> ChannelStreams:
+    return [(channel, np.concatenate(arrays))
+            for channel, arrays in sorted(streams.items())]
+
+
+def route_step(snapshot: Snapshot, decomposition: Decomposition,
+               cutoff: float, force_reduction: bool) -> StepRoutes:
+    """Route one snapshot's position exports and force returns.
+
+    **Position exports**: atoms sharing a home node and a destination set
+    share one multicast tree; each of its channels carries them.
+
+    **Force returns**: by default the node that owned each pair
+    computation unicasts the atom's forces back to its home node ("the
+    node with the larger flat id computes the pair" convention —
+    Section II-C guarantees each pair is computed on exactly one of its
+    two nodes).  With ``force_reduction`` (the in-network force
+    reduction of the paper's footnote 3), partial forces for the same
+    atom merge at router joins, so each channel of the owners->home
+    reduction tree carries only *one* force packet per atom.
+    """
+    torus = decomposition.torus
+    positions = snapshot.positions
+    home = decomposition.home_nodes(positions)
+    exports = decomposition.export_masks(positions, cutoff)
+
+    position_streams: Dict[DirectedChannel, List[np.ndarray]] = {}
+    for home_id, dest_ids, atoms in _group_atoms(exports, home):
+        tree = multicast_tree(torus, torus.coord_of(home_id),
+                              [torus.coord_of(d) for d in dest_ids])
+        for channel in tree:
+            position_streams.setdefault(channel, []).append(atoms)
+
+    # An importer owns the pairs of the atoms homed below it.
+    owned = exports & (home[None, :] < np.arange(len(exports))[:, None])
+    force_streams: Dict[DirectedChannel, List[np.ndarray]] = {}
+    if not force_reduction:
+        for node_id, mask in enumerate(owned):
+            atom_indices = np.nonzero(mask)[0]
+            if len(atom_indices) == 0:
+                continue
+            importer = torus.coord_of(node_id)
+            atom_homes = home[atom_indices]
+            for home_id in np.unique(atom_homes):
+                atoms = atom_indices[atom_homes == home_id]
+                route = torus.dimension_order_route(
+                    importer, torus.coord_of(int(home_id)), (0, 1, 2))
+                for a, b in zip(route, route[1:]):
+                    force_streams.setdefault((a, b), []).append(atoms)
+    else:
+        # Group atoms by (home, owner set) and charge the reversed
+        # multicast tree's channels once per atom.
+        for home_id, owner_ids, atoms in _group_atoms(owned, home):
+            tree = multicast_tree(torus, torus.coord_of(home_id),
+                                  [torus.coord_of(o) for o in owner_ids])
+            for (a, b) in tree:
+                force_streams.setdefault((b, a), []).append(atoms)
+    return StepRoutes(positions=_by_channel(position_streams),
+                      forces=_by_channel(force_streams))
+
+
 class TrafficModel:
     """Prices one compression configuration's traffic, step by step."""
 
@@ -100,7 +208,6 @@ class TrafficModel:
         self.config = config
         self.cutoff = cutoff
         self.force_reduction = force_reduction
-        self.torus = decomposition.torus
         self._caches: Dict[DirectedChannel, VectorParticleCache] = {}
         self._pcache_kwargs = dict(entries=pcache_entries, ways=pcache_ways,
                                    order=pcache_order,
@@ -152,141 +259,59 @@ class TrafficModel:
         return bytes_total * 8
 
     # ------------------------------------------------------------------
-    # Force-return stream construction.
-    # ------------------------------------------------------------------
-
-    def _force_streams(self, home: np.ndarray,
-                       exports: Dict[int, np.ndarray],
-                       ) -> Dict[DirectedChannel, List[np.ndarray]]:
-        """Channels carrying stream-set force returns.
-
-        Default: the node that owned each pair computation unicasts the
-        atom's forces back to its home node ("the node with the larger
-        flat id computes the pair" convention — Section II-C guarantees
-        each pair is computed on exactly one of its two nodes).
-
-        With ``force_reduction`` (the in-network force reduction of the
-        paper's footnote 3), partial forces for the same atom merge at
-        router joins, so each channel of the owners->home reduction tree
-        carries only *one* force packet per atom.
-        """
-        torus = self.torus
-        streams: Dict[DirectedChannel, List[np.ndarray]] = {}
-        if not self.force_reduction:
-            for node_id, atom_indices in exports.items():
-                if len(atom_indices) == 0:
-                    continue
-                importer = torus.coord_of(node_id)
-                atom_homes = home[atom_indices]
-                owner_mask = atom_homes < node_id
-                for home_id in np.unique(atom_homes[owner_mask]):
-                    atoms = atom_indices[owner_mask
-                                         & (atom_homes == home_id)]
-                    route = torus.dimension_order_route(
-                        importer, torus.coord_of(int(home_id)), (0, 1, 2))
-                    for a, b in zip(route, route[1:]):
-                        streams.setdefault((a, b), []).append(atoms)
-            return streams
-
-        # In-network reduction: group atoms by (home, owner set) and
-        # charge the reversed multicast tree's channels once per atom.
-        owner_sets: Dict[int, List[int]] = {}
-        for node_id, atom_indices in exports.items():
-            atom_homes = home[atom_indices]
-            for a in atom_indices[atom_homes < node_id]:
-                owner_sets.setdefault(int(a), []).append(node_id)
-        groups: Dict[Tuple[int, Tuple[int, ...]], List[int]] = {}
-        for atom, owners in owner_sets.items():
-            key = (int(home[atom]), tuple(sorted(owners)))
-            groups.setdefault(key, []).append(atom)
-        for (home_id, owner_ids), atoms in groups.items():
-            home_coord = torus.coord_of(home_id)
-            tree = multicast_tree(torus, home_coord,
-                                  [torus.coord_of(o) for o in owner_ids])
-            atom_array = np.array(atoms, dtype=np.int64)
-            for (a, b) in tree:
-                streams.setdefault((b, a), []).append(atom_array)
-        return streams
-
-    # ------------------------------------------------------------------
     # Step processing.
     # ------------------------------------------------------------------
 
+    def _routes(self, snapshot: Snapshot) -> StepRoutes:
+        """The snapshot's routes, computed once per snapshot and routing
+        setup and shared by every model that prices it."""
+        decomp = self.decomposition
+        key = (decomp.box, tuple(decomp.node_dims), self.cutoff,
+               self.force_reduction)
+        routes = snapshot.routes.get(key)
+        if routes is None:
+            routes = route_step(snapshot, decomp, self.cutoff,
+                                self.force_reduction)
+            snapshot.routes[key] = routes
+        return routes
+
     def process_step(self, snapshot: Snapshot) -> StepTraffic:
         """Account all channel traffic for one MD time step."""
-        decomp = self.decomposition
-        torus = self.torus
-        positions = snapshot.positions
-        home = decomp.home_nodes(positions)
-        exports = decomp.export_map(positions, self.cutoff)
-
-        # Destination node lists per exported atom.
-        dest_lists: Dict[int, List[int]] = {}
-        for node_id, atom_indices in exports.items():
-            for a in atom_indices:
-                dest_lists.setdefault(int(a), []).append(node_id)
-
-        # Group atoms by (home node, destination set): each group shares
-        # one multicast tree.
-        groups: Dict[Tuple[int, Tuple[int, ...]], List[int]] = {}
-        for atom, dests in dest_lists.items():
-            key = (int(home[atom]), tuple(sorted(dests)))
-            groups.setdefault(key, []).append(atom)
-
+        routes = self._routes(snapshot)
         traffic = StepTraffic()
-        channel_positions: Dict[DirectedChannel,
-                                List[np.ndarray]] = {}
-        for (home_id, dest_ids), atoms in groups.items():
-            src = torus.coord_of(home_id)
-            dests = [torus.coord_of(d) for d in dest_ids]
-            tree = multicast_tree(torus, src, dests)
-            atom_array = np.array(atoms, dtype=np.int64)
-            for channel in tree:
-                channel_positions.setdefault(channel, []).append(atom_array)
+        per_channel = traffic.per_channel_bits
 
-        for channel, atom_arrays in sorted(channel_positions.items()):
-            atom_ids = np.concatenate(atom_arrays)
+        for channel, atom_ids in routes.positions:
             pos_fp = snapshot.positions_fp[atom_ids].astype(np.int64)
             bits = self._position_channel_bits(channel, atom_ids, pos_fp,
                                                traffic)
             traffic.position_bits += bits
             traffic.position_packets += len(atom_ids)
-            traffic.per_channel_bits[channel] = (
-                traffic.per_channel_bits.get(channel, 0) + bits)
+            per_channel[channel] = per_channel.get(channel, 0) + bits
 
-        # Force returns: the node that owned the pair computation streams
-        # the stream-set forces back to the atom's home node.  Each pair
-        # is computed on exactly one of the two nodes holding its atoms
-        # (Section II-C), so an exported atom returns forces from roughly
-        # half of its importers; the deterministic owner convention here
-        # is "the node with the larger flat id computes the pair".
-        force_streams = self._force_streams(home, exports)
-
-        for channel, atom_arrays in sorted(force_streams.items()):
-            atom_ids = np.concatenate(atom_arrays)
+        for channel, atom_ids in routes.forces:
             payload = np.zeros((len(atom_ids), 4), dtype=np.int64)
             payload[:, :3] = snapshot.forces_fp[atom_ids].astype(np.int64)
             bits = int(self._full_packet_bytes(payload).sum()) * 8
             traffic.force_bits += bits
             traffic.force_packets += len(atom_ids)
-            traffic.per_channel_bits[channel] = (
-                traffic.per_channel_bits.get(channel, 0) + bits)
+            per_channel[channel] = per_channel.get(channel, 0) + bits
 
         # On 2-wide torus axes the + and - cables of a node both reach the
         # same neighbor, so software balances each logical channel across
         # two physical cables; record the per-cable load.
         dims = self.decomposition.node_dims
-        for channel in list(traffic.per_channel_bits):
+        for channel in list(per_channel):
             (a, b) = channel
             axis = next(i for i in range(3) if a[i] != b[i])
             if dims[axis] == 2:
-                traffic.per_channel_bits[channel] //= 2
+                per_channel[channel] //= 2
 
         # End-of-step markers keep the particle caches paced.
         if self.config.pcache:
             for cache in self._caches.values():
                 cache.end_of_step()
-            n_channels = max(len(traffic.per_channel_bits), 1)
+            n_channels = max(len(per_channel), 1)
             traffic.marker_bits = 8 * MARKER_BYTES * n_channels
 
         self.steps_processed += 1

@@ -55,13 +55,41 @@ class CellGrid:
         return (coords[:, 0] * n + coords[:, 1]) * n + coords[:, 2]
 
 
+def minimum_image(positions: np.ndarray, ii: np.ndarray, jj: np.ndarray,
+                  box: float) -> np.ndarray:
+    """(P, 3) minimum-image separations ``positions[ii] - positions[jj]``.
+
+    Computed in place, with one temporary, to the same bits as
+    ``d = positions[ii] - positions[jj]; d -= box * np.rint(d / box)``.
+    """
+    delta = np.take(positions, ii, axis=0)
+    delta -= np.take(positions, jj, axis=0)
+    shift = delta / box
+    np.rint(shift, out=shift)
+    shift *= box
+    delta -= shift
+    return delta
+
+
 def neighbor_pairs(positions: np.ndarray, box: float,
                    cutoff: float) -> Tuple[np.ndarray, np.ndarray]:
-    """All atom pairs (i, j), i < j-ish unique, within ``cutoff``.
+    """All atom pairs within ``cutoff`` (minimum-image periodic distance).
 
-    Returns two index arrays of equal length.  Uses minimum-image periodic
-    distances.  Falls back to the O(N^2) method for boxes smaller than
-    three cells per side (where the half stencil would double count).
+    Returns two int64 index arrays ``(ii, jj)`` of equal length.  Each
+    unordered pair appears exactly once; ``ii`` may exceed ``jj``.  The
+    order is part of the contract, because force summation follows it:
+
+    * With the cell list: first every self-cell pair, cell by cell in
+      flat cell order, each cell's members ``a < b`` in ``np.triu_indices``
+      order; then, for each of the 13 :data:`_HALF_STENCIL` offsets in
+      turn, cell by cell, every member ``a`` of the cell (ascending)
+      against every member ``b`` of the offset neighbor (ascending).
+    * Below three cells per side (where the half stencil would double
+      count) or below 64 atoms: the O(N^2) pairs ``i < j`` in
+      ``np.triu_indices`` order.
+
+    Candidate pairs are generated and cut to ``cutoff`` one stencil
+    offset at a time, so only one offset's candidates are ever held.
     """
     positions = np.asarray(positions, dtype=np.float64) % box
     n_atoms = positions.shape[0]
@@ -70,61 +98,48 @@ def neighbor_pairs(positions: np.ndarray, box: float,
         return _brute_force_pairs(positions, box, cutoff)
 
     n = grid.cells_per_side
+    num_cells = n ** 3
     flat = grid.cell_index(positions)
     order = np.argsort(flat, kind="stable")
     sorted_cells = flat[order]
-    starts = np.searchsorted(sorted_cells, np.arange(n ** 3), side="left")
-    ends = np.searchsorted(sorted_cells, np.arange(n ** 3), side="right")
+    counts = np.bincount(flat, minlength=num_cells)
+    starts = np.cumsum(counts) - counts
+    # Row c lists cell c's atoms in ascending order, padded with -1.
+    members = np.full((num_cells, int(counts.max())), -1, dtype=np.int64)
+    members[sorted_cells, np.arange(n_atoms) - starts[sorted_cells]] = order
 
-    members = [order[starts[c]:ends[c]] for c in range(n ** 3)]
+    def block(a: np.ndarray, b: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """The pairs of one candidate block, padding dropped, in cutoff."""
+        valid = (a >= 0) & (b >= 0)
+        return _within_cutoff(positions, a[valid], b[valid], box, cutoff)
 
-    pair_i = []
-    pair_j = []
-
-    # Self-cell pairs.
-    for c in range(n ** 3):
-        atoms = members[c]
-        if len(atoms) > 1:
-            ii, jj = np.triu_indices(len(atoms), k=1)
-            pair_i.append(atoms[ii])
-            pair_j.append(atoms[jj])
-
-    # Forward-stencil cross-cell pairs.
-    cz = np.arange(n ** 3) % n
-    cy = (np.arange(n ** 3) // n) % n
-    cx = np.arange(n ** 3) // (n * n)
+    width = members.shape[1]
+    ta, tb = np.triu_indices(width, k=1)
+    blocks = [block(members[:, ta], members[:, tb])]
+    cells = np.arange(num_cells)
+    cx, cy, cz = cells // (n * n), (cells // n) % n, cells % n
+    shape = (num_cells, width, width)
     for dx, dy, dz in _HALF_STENCIL:
-        ox = (cx + dx) % n
-        oy = (cy + dy) % n
-        oz = (cz + dz) % n
-        other = (ox * n + oy) * n + oz
-        for c in range(n ** 3):
-            a = members[c]
-            b = members[other[c]]
-            if len(a) and len(b):
-                ii = np.repeat(a, len(b))
-                jj = np.tile(b, len(a))
-                pair_i.append(ii)
-                pair_j.append(jj)
+        other = (((cx + dx) % n) * n + (cy + dy) % n) * n + (cz + dz) % n
+        blocks.append(block(
+            np.broadcast_to(members[:, :, None], shape),
+            np.broadcast_to(members[other][:, None, :], shape)))
+    return (np.concatenate([ii for ii, __ in blocks]),
+            np.concatenate([jj for __, jj in blocks]))
 
-    if not pair_i:
-        return (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
-    ii = np.concatenate(pair_i)
-    jj = np.concatenate(pair_j)
-    delta = positions[ii] - positions[jj]
-    delta -= box * np.rint(delta / box)
-    keep = np.einsum("ij,ij->i", delta, delta) <= cutoff * cutoff
-    return ii[keep], jj[keep]
+
+def _within_cutoff(positions: np.ndarray, ii: np.ndarray, jj: np.ndarray,
+                   box: float, cutoff: float) -> Tuple[np.ndarray, np.ndarray]:
+    delta = minimum_image(positions, ii, jj, box)
+    keep = np.flatnonzero(
+        np.einsum("ij,ij->i", delta, delta) <= cutoff * cutoff)
+    return ii.take(keep), jj.take(keep)
 
 
 def _brute_force_pairs(positions: np.ndarray, box: float,
                        cutoff: float) -> Tuple[np.ndarray, np.ndarray]:
-    n_atoms = positions.shape[0]
-    ii, jj = np.triu_indices(n_atoms, k=1)
-    delta = positions[ii] - positions[jj]
-    delta -= box * np.rint(delta / box)
-    keep = np.einsum("ij,ij->i", delta, delta) <= cutoff * cutoff
-    return ii[keep], jj[keep]
+    ii, jj = np.triu_indices(positions.shape[0], k=1)
+    return _within_cutoff(positions, ii, jj, box, cutoff)
 
 
 class NeighborList:

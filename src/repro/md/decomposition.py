@@ -12,7 +12,8 @@ radius (in-network multicast, footnote 3 of the paper).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Sequence, Set, Tuple
+from functools import cached_property
+from typing import Dict, List, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -40,7 +41,7 @@ class Decomposition:
         if any(d < 1 for d in self.node_dims):
             raise ValueError("node dims must be >= 1")
 
-    @property
+    @cached_property
     def torus(self) -> Torus3D:
         return Torus3D(self.node_dims)
 
@@ -65,43 +66,42 @@ class Decomposition:
     def node_coord(self, node_id: int) -> Coord:
         return self.torus.coord_of(node_id)
 
-    def export_mask(self, positions: np.ndarray, node: Coord,
-                    cutoff: float) -> np.ndarray:
-        """Atoms whose positions fall inside ``node``'s import region.
+    def export_masks(self, positions: np.ndarray,
+                     cutoff: float) -> np.ndarray:
+        """(num_nodes, N) bool: row ``k`` marks the atoms node ``k`` imports.
 
-        The import region is the node's home box expanded by the cutoff on
+        A node's import region is its home box expanded by the cutoff on
         every face (periodic).  Atoms homed on the node itself are
         excluded — they do not cross any channel.
         """
-        positions = np.asarray(positions, dtype=np.float64) % self.box
+        wrapped = np.asarray(positions, dtype=np.float64) % self.box
+        home = self.home_nodes(wrapped)
         edges = self.box_edges()
-        lo = np.array(node) * edges
-        hi = lo + edges
-        inside = np.ones(len(positions), dtype=bool)
-        for axis in range(3):
-            x = positions[:, axis]
-            a = lo[axis] - cutoff
-            b = hi[axis] + cutoff
-            if b - a >= self.box:
-                continue  # the import region spans the whole axis
-            aw = a % self.box
-            bw = b % self.box
-            if aw <= bw:
-                inside &= (x >= aw) & (x <= bw)
-            else:  # interval wraps around the periodic boundary
-                inside &= (x >= aw) | (x <= bw)
-        home = self.home_nodes(positions)
-        node_id = self.torus.node_id(node)
-        return inside & (home != node_id)
+        masks = np.empty((self.num_nodes, len(wrapped)), dtype=bool)
+        for node_id, node in enumerate(self.torus.nodes()):
+            lo = np.array(node) * edges
+            hi = lo + edges
+            inside = home != node_id
+            for axis in range(3):
+                x = wrapped[:, axis]
+                a = lo[axis] - cutoff
+                b = hi[axis] + cutoff
+                if b - a >= self.box:
+                    continue  # the import region spans the whole axis
+                aw = a % self.box
+                bw = b % self.box
+                if aw <= bw:
+                    inside &= (x >= aw) & (x <= bw)
+                else:  # interval wraps around the periodic boundary
+                    inside &= (x >= aw) | (x <= bw)
+            masks[node_id] = inside
+        return masks
 
     def export_map(self, positions: np.ndarray,
                    cutoff: float) -> Dict[int, np.ndarray]:
         """For each node id, the atom indices it must import remotely."""
-        out: Dict[int, np.ndarray] = {}
-        for node in self.torus.nodes():
-            mask = self.export_mask(positions, node, cutoff)
-            out[self.torus.node_id(node)] = np.nonzero(mask)[0]
-        return out
+        return {node_id: np.nonzero(mask)[0] for node_id, mask
+                in enumerate(self.export_masks(positions, cutoff))}
 
 
 def multicast_tree(torus: Torus3D, src: Coord,

@@ -9,7 +9,7 @@ Anton 3's channels.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, List, Optional
+from typing import Any, Dict, Iterator, List, Optional
 
 import numpy as np
 
@@ -28,6 +28,11 @@ class Snapshot:
     forces_fp: np.ndarray       # (N, 3) int32 fixed-point forces
     positions: np.ndarray       # (N, 3) float angstroms
     record: StepRecord
+    #: Channel routes of this step's packets, filled in by the traffic
+    #: models that price it (keyed by their routing setup) so that each
+    #: compression config reuses them.
+    routes: Dict[tuple, Any] = field(default_factory=dict, init=False,
+                                     repr=False, compare=False)
 
 
 @dataclass

@@ -13,7 +13,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .cells import neighbor_pairs
+from .cells import minimum_image, neighbor_pairs
 
 
 @dataclass
@@ -81,18 +81,29 @@ def compute_forces(positions: np.ndarray, box: float,
     if len(ii) == 0:
         return ForceResult(forces=forces, potential=0.0, num_pairs=0)
 
-    delta = positions[ii] - positions[jj]
-    delta -= box * np.rint(delta / box)
+    delta = minimum_image(positions, ii, jj, box)
     r2 = np.einsum("ij,ij->i", delta, delta)
     # Re-filter to the true cutoff (pairs may come from a skinned list).
     keep = r2 <= field.cutoff * field.cutoff
     if not np.all(keep):
-        ii, jj, delta, r2 = ii[keep], jj[keep], delta[keep], r2[keep]
-        if len(ii) == 0:
+        kept = np.flatnonzero(keep)
+        if len(kept) == 0:
             return ForceResult(forces=forces, potential=0.0, num_pairs=0)
+        ii, jj, r2 = ii.take(kept), jj.take(kept), r2.take(kept)
+        delta = delta.take(kept, axis=0)
     f_over_r, energy = field.pair_terms(r2)
-    pair_forces = delta * f_over_r[:, None]
-    np.add.at(forces, ii, pair_forces)
-    np.add.at(forces, jj, -pair_forces)
-    return ForceResult(forces=forces, potential=float(np.sum(energy)),
-                       num_pairs=int(len(ii)))
+    potential = float(np.sum(energy))
+    # Scatter +f onto every i, then -f onto every j.  ``bincount`` adds
+    # its weights in input order, so each atom's force is summed in the
+    # same sequence (pair order, all i-terms before all j-terms) as two
+    # ``np.add.at`` calls would sum it, and the result is bit-identical.
+    n_pairs = len(ii)
+    targets = np.concatenate((ii, jj))
+    weights = np.empty(2 * n_pairs)
+    for axis in range(3):
+        np.multiply(delta[:, axis], f_over_r, out=weights[:n_pairs])
+        np.negative(weights[:n_pairs], out=weights[n_pairs:])
+        forces[:, axis] = np.bincount(targets, weights=weights,
+                                      minlength=n_atoms)
+    return ForceResult(forces=forces, potential=potential,
+                       num_pairs=n_pairs)

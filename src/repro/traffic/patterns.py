@@ -212,7 +212,7 @@ class NeighborExchangePattern(TrafficPattern):
             edge = float(edges[axis])
             # Largest g with (g - 1) * edge < cutoff, i.e. ceil(cutoff /
             # edge): strict, so a cutoff of exactly one edge reaches only
-            # the adjacent box, matching Decomposition.export_mask.
+            # the adjacent box, matching Decomposition.export_masks.
             steps = math.ceil(cutoff / edge)
             reach.append(min(max(steps, 1), dim))
         return cls(torus, reach=tuple(reach))

@@ -1,7 +1,7 @@
 """Tests for interleaved non-zero (INZ) encoding — Section IV-A."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.compression import inz
@@ -136,10 +136,15 @@ class TestEncode:
     @given(st.lists(small, min_size=4, max_size=4),
            st.lists(i32, min_size=4, max_size=4))
     @settings(max_examples=100)
+    @example(small_words=[0, 0, 0, 0], any_words=[0, 0, 0, -1])
     def test_smaller_values_never_cost_more(self, small_words, any_words):
         """Replacing every word with a smaller-magnitude one never grows
-        the encoding (monotonicity of the leading-zero optimization)."""
-        shrunk = [w % 8 for w in any_words]
+        the encoding (monotonicity of the leading-zero optimization).
+
+        The shrink keeps each word's sign: a bare ``w % 8`` maps -1 to 7,
+        whose zigzag code (14) is larger than that of -1 (1).
+        """
+        shrunk = [w % 8 if w >= 0 else -(-w % 8) for w in any_words]
         assert (inz.encode_signed(shrunk).num_bytes
                 <= inz.encode_signed(any_words).num_bytes)
 

@@ -198,7 +198,7 @@ class TestNeighborExchange:
     def test_cutoff_of_exactly_one_edge_stays_adjacent(self):
         """(g-1)*edge < cutoff is strict: cutoff == edge reaches g == 1.
 
-        Matches Decomposition.export_mask, whose import region at a
+        Matches Decomposition.export_masks, whose import region at a
         cutoff of exactly one box edge touches only the adjacent box's
         closed face, never interior atoms two boxes away.
         """
