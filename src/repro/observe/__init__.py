@@ -1,6 +1,6 @@
 """``repro.observe`` — deterministic observability for the simulators.
 
-Three layers over one switchboard (:class:`ObserveConfig`):
+Two layers over one switchboard (:class:`ObserveConfig`):
 
 * **Metrics** (:mod:`repro.observe.metrics`) — sim-slice-keyed gauges
   and counters plus the full :class:`~repro.engine.stats.StatsRegistry`
@@ -8,8 +8,9 @@ Three layers over one switchboard (:class:`ObserveConfig`):
 * **Tracing** (:mod:`repro.observe.trace`) — packet-lifecycle spans for
   a ``derive_seed``-sampled packet population, exportable as
   Chrome-trace/Perfetto JSON.
-* **Profiling** (:mod:`repro.observe.profile`) — host wall-clock phase
-  timers and cProfile-based per-subsystem time shares.
+
+Host wall-clock is not measured here: ``python3 perfbench/run.py
+--trace 1`` splits it by network layer.
 
 Cross-run accounting builds on the same discipline:
 

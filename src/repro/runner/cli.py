@@ -19,17 +19,15 @@ Subcommands:
   backpressure attribution with saturation trees, fence critical
   paths, and topology heatmaps; stores a ``<digest>.diagnosis.json``
   artifact beside the metrics/trace layers.
-* ``profile EXPERIMENT`` — cProfile one configuration and attribute
-  wall-clock to repro subsystems.
-* ``bench`` — the pinned benchmark grid (``BENCH_<rev>.json``).
 * ``ledger {list,show,diff}`` — the persistent cross-run ledger beside
   the cache: every execution ever recorded, queryable and diffable by
   config digest across runs and revisions.
 * ``status [--watch]`` — the live sweep progress board folded from the
   workers' heartbeat stream.
-* ``regress`` — the noise-aware benchmark regression sentinel: compares
-  a ``bench --json`` snapshot against baseline history and exits
-  nonzero on a regression (CI-ready).
+* ``regress --against A --current B`` — the regression gate over saved
+  ``python3 perfbench/run.py`` output (:mod:`repro.runner.sentinel`):
+  ``run_s`` medians under a noise band, count metrics exactly; exits 1
+  on a regression or a changed count (CI-ready).
 
 ``run``/``sweep`` accept ``--observe``/``--trace`` (repro.observe):
 observed runs execute every configuration (no cache reads), write
@@ -411,63 +409,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--output", "-o", default="-", help="output path (default: stdout)"
     )
 
-    profile_parser = sub.add_parser(
-        "profile", help="profile one experiment configuration"
-    )
-    profile_parser.add_argument("experiment", help="registered experiment name")
-    profile_parser.add_argument(
-        "--set",
-        dest="assignments",
-        action="append",
-        default=[],
-        metavar="KEY=VALUE",
-        help="override a parameter (JSON values; repeatable)",
-    )
-    profile_parser.add_argument(
-        "--json",
-        action="store_true",
-        help="emit the subsystem shares as JSON instead of a table",
-    )
-    profile_parser.add_argument(
-        "--functions",
-        type=int,
-        default=0,
-        metavar="N",
-        help="also print the top N functions by own time (stderr)",
-    )
-    profile_parser.add_argument(
-        "--output", "-o", default="-", help="output path (default: stdout)"
-    )
-
-    bench_parser = sub.add_parser(
-        "bench", help="run the pinned benchmark grid"
-    )
-    bench_parser.add_argument(
-        "--json",
-        action="store_true",
-        help="emit the BENCH payload as JSON (default path: BENCH_<rev>.json)",
-    )
-    bench_parser.add_argument(
-        "--output",
-        "-o",
-        default=None,
-        help="with --json: output path (default: BENCH_<rev>.json; "
-        "use - for stdout)",
-    )
-    bench_parser.add_argument(
-        "--repeat",
-        type=int,
-        default=3,
-        help="repeats per case; wall-clock reports best-of-N (default: 3)",
-    )
-    bench_parser.add_argument(
-        "--case",
-        action="append",
-        default=[],
-        metavar="NAME",
-        help="run only this benchmark case (repeatable)",
-    )
-
     ledger_parser = sub.add_parser(
         "ledger", help="query the persistent cross-run ledger"
     )
@@ -527,28 +468,22 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     regress_parser = sub.add_parser(
-        "regress", help="noise-aware benchmark regression check"
+        "regress", help="gate one perfbench run against baseline runs"
     )
     regress_parser.add_argument(
         "--against",
         action="append",
         default=[],
         required=True,
-        metavar="BENCH_JSON",
-        help="baseline BENCH_<rev>.json snapshot (repeatable; repeats "
-        "are pooled into the per-case noise band)",
+        metavar="TRANSCRIPT",
+        help="saved stdout of python3 perfbench/run.py (repeatable; the "
+        "runs are pooled into each workload's noise band)",
     )
     regress_parser.add_argument(
         "--current",
-        default=None,
-        metavar="BENCH_JSON",
-        help="current snapshot to classify (default: run the bench now)",
-    )
-    regress_parser.add_argument(
-        "--repeat",
-        type=int,
-        default=3,
-        help="without --current: bench repeats per case (default: 3)",
+        required=True,
+        metavar="TRANSCRIPT",
+        help="saved stdout of the perfbench run to classify",
     )
     regress_parser.add_argument(
         "--min-rel",
@@ -1003,79 +938,6 @@ def _cmd_diagnose(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_profile(args: argparse.Namespace) -> int:
-    from ..observe.profile import (
-        profile_callable,
-        profile_report,
-        subsystem_shares,
-    )
-
-    experiment = get_experiment(args.experiment)
-    overrides = _parse_set(args.assignments)
-    experiment.validate_params(overrides)
-    # Unprofiled warmup run: pays the one-time lazy-import cost (compile /
-    # exec / marshal frames from importlib) so the profiled run measures
-    # the simulator, not interpreter startup.
-    experiment.run(overrides)
-    __, stats = profile_callable(experiment.run, overrides)
-    shares, total_s = subsystem_shares(stats)
-    if args.functions > 0:
-        import io
-
-        buffer = io.StringIO()
-        stats.stream = buffer
-        stats.sort_stats("tottime").print_stats(args.functions)
-        print(buffer.getvalue(), file=sys.stderr)
-    if args.json:
-        attributed = sum(
-            share for name, share in shares.items() if name != "(other)")
-        payload = {
-            "experiment": experiment.name,
-            "params": overrides,
-            "total_s": total_s,
-            "shares": shares,
-            "attributed_fraction": (attributed / total_s if total_s else 0.0),
-        }
-        _write_or_stdout(
-            args, json.dumps(payload, sort_keys=True, indent=2) + "\n")
-    else:
-        _write_or_stdout(args, profile_report(shares, total_s) + "\n")
-    return 0
-
-
-def _cmd_bench(args: argparse.Namespace) -> int:
-    from .bench import (
-        BENCH_CASES,
-        bench_filename,
-        bench_table,
-        run_bench,
-    )
-
-    cases = None
-    if args.case:
-        by_name = {case.name: case for case in BENCH_CASES}
-        unknown = [name for name in args.case if name not in by_name]
-        if unknown:
-            known = ", ".join(sorted(by_name))
-            print(f"error: unknown bench case(s) {', '.join(unknown)}; "
-                  f"known: {known}", file=sys.stderr)
-            return 2
-        cases = tuple(by_name[name] for name in args.case)
-    payload = run_bench(repeat=args.repeat, cases=cases, progress=_progress)
-    if args.json:
-        text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
-        output = args.output if args.output is not None else bench_filename(
-            payload["rev"])
-        if output == "-":
-            sys.stdout.write(text)
-        else:
-            Path(output).write_text(text, encoding="utf-8")
-            print(f"wrote {output}", file=sys.stderr)
-    else:
-        print(bench_table(payload))
-    return 0
-
-
 def _cmd_ledger(args: argparse.Namespace) -> int:
     from ..observe.ledger import (
         diff_records,
@@ -1163,17 +1025,12 @@ def _cmd_regress(args: argparse.Namespace) -> int:
         DEFAULT_MIN_REL,
         DEFAULT_SIGMA,
         evaluate,
-        load_bench,
+        load_transcript,
         regress_table,
     )
 
-    baselines = [load_bench(Path(path)) for path in args.against]
-    if args.current is not None:
-        current = load_bench(Path(args.current))
-    else:
-        from .bench import run_bench
-
-        current = run_bench(repeat=args.repeat, progress=_progress)
+    baselines = [load_transcript(path) for path in args.against]
+    current = load_transcript(args.current)
     report = evaluate(
         current,
         baselines,
@@ -1329,10 +1186,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return _cmd_trace(args)
         if args.command == "diagnose":
             return _cmd_diagnose(args)
-        if args.command == "profile":
-            return _cmd_profile(args)
-        if args.command == "bench":
-            return _cmd_bench(args)
         if args.command == "ledger":
             return _cmd_ledger(args)
         if args.command == "status":

@@ -1,82 +1,125 @@
-"""``repro-runner regress`` — the noise-aware benchmark regression sentinel.
+"""``repro-runner regress`` — the regression gate over benchmark runs.
 
-Continuous performance characterization needs more than a single
-number: host wall-clock is noisy, so a naive threshold either cries
-wolf or sleeps through real slowdowns.  The sentinel loads the
-``BENCH_<rev>.json`` snapshots produced by ``repro-runner bench
---json`` (:mod:`repro.runner.bench`), fits a per-case noise band from
-the repeated samples every snapshot carries, and classifies the current
-snapshot against one or more baselines:
+The repository's benchmark is ``python3 perfbench/run.py``.  The
+sentinel reads its saved stdout, a *transcript*: one JSON line per
+operation, then, for a run of every workload, a plain-text table of the
+metrics, then one JSON result line.  ``regress --against A [--against
+...] --current B`` classifies transcript ``B`` against the pooled
+baselines:
 
-* **PASS** — the best-of-N wall-clock sits inside the noise band.
-* **REGRESSED** — slower than ``baseline * (1 + threshold)``.
-* **IMPROVED** — faster than ``baseline / (1 + threshold)``.
-* **NEW** / **MISSING** — the case exists on only one side.
+* **Time.** Every untraced operation line gives its workload one
+  ``run_s`` sample.  The current median is compared with the median of
+  the pooled baseline samples under the band ``max(min_rel, sigma *
+  cv)``, where ``cv`` is the coefficient of variation (stddev/mean) of
+  those baseline samples: quiet workloads get the tight floor, jittery
+  ones earn a wider band, and a genuine 2x slowdown clears any
+  plausible band.  Verdicts are **PASS**, **REGRESSED** (slower than
+  ``baseline * (1 + threshold)``), **IMPROVED** (faster than
+  ``baseline / (1 + threshold)``), and **NEW** / **MISSING** for a
+  workload on one side only.
+* **Counts.** Every result-line metric whose unit is ``count`` (the
+  work counts of a ``--trace 1`` run, such as ``engine.events``) is
+  deterministic, so it is gated exactly: any difference is **CHANGED**
+  and fails, whatever the band.  Counts are keyed
+  ``<workload>/<metric>``; a single-workload run's bare names get its
+  workload as prefix, so either form of run compares with the other.
+* **Digests.** A workload whose result digest differs from the
+  baseline's is reported; the digest pins in the test suite are the
+  hard gate on results.
 
-The per-case threshold is ``max(min_rel, sigma * cv)`` where ``cv`` is
-the coefficient of variation (stddev/mean) of the pooled baseline
-samples: quiet cases get the tight floor, jittery cases earn a wider
-band, and a genuine 2x slowdown clears any plausible band.  The report
-carries a machine-readable exit code (0 clean, 1 regressed) for CI.
-
-Result drift rides along: every bench snapshot embeds the flattened
-numeric result surface, so a perf change that also changed *results*
-is listed per case under ``results_changed`` (informational — the
-determinism gates elsewhere in CI are the hard failure for that).
+The newest baseline (the last ``--against``) carrying a count or digest
+is its anchor.  The exit code is 1 iff a workload REGRESSED or a count
+CHANGED.  A transcript that cannot be trusted is an error, never a
+verdict: no operation lines, a failed operation, ``"correct": false``,
+an untraced operation without a positive ``run_s``, or seeds unlike the
+current run's.
 """
 
 from __future__ import annotations
 
 import json
-import math
+import statistics
 from pathlib import Path
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import Dict, List, Mapping, Sequence, Union
 
 __all__ = [
     "REGRESS_SCHEMA_ID",
     "evaluate",
-    "load_bench",
+    "load_transcript",
     "noise_bands",
     "regress_table",
 ]
 
-REGRESS_SCHEMA_ID = "repro.regress/1"
-BENCH_SCHEMA_ID = "repro.bench/1"
+REGRESS_SCHEMA_ID = "repro.regress/2"
 
 #: Relative slowdown floor: never flag less than a 10% delta, however
 #: quiet the baseline samples look.
 DEFAULT_MIN_REL = 0.10
 #: Band width in baseline noise units (coefficients of variation).
 DEFAULT_SIGMA = 4.0
+#: The operation field the time gate compares: the timed workload run.
+TIME_FIELD = "run_s"
 
 
-def load_bench(path: Path) -> dict:
-    """Read one ``BENCH_<rev>.json`` snapshot (raises ``ValueError``)."""
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    if not isinstance(payload, dict) or payload.get("schema") != BENCH_SCHEMA_ID:
-        raise ValueError(
-            f"{path} is not a {BENCH_SCHEMA_ID} bench snapshot"
-        )
-    if not isinstance(payload.get("cases"), list):
-        raise ValueError(f"{path} carries no bench cases")
-    return payload
+def load_transcript(path: Union[str, Path]) -> dict:
+    """Read one saved ``perfbench/run.py`` stdout (raises ``ValueError``).
 
-
-def _case_map(payload: Mapping) -> Dict[str, Mapping]:
-    return {
-        str(case.get("name")): case
-        for case in payload.get("cases", ())
-        if isinstance(case, Mapping) and case.get("name")
+    Returns ``{"path", "seeds", "samples", "digests", "counts"}``:
+    ``samples`` maps each workload to its untraced ``run_s`` values,
+    ``digests`` to its result digest, and ``counts`` maps
+    ``<workload>/<metric>`` to every count metric of the result line.
+    """
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except OSError as error:
+        raise ValueError(f"{path}: {error.strerror or error}") from error
+    ops: List[dict] = []
+    result = None
+    for line in text.splitlines():
+        try:
+            record = json.loads(line)
+        except ValueError:
+            continue  # the metric table of a run of every workload
+        if isinstance(record, dict) and "op" in record:
+            ops.append(record)
+        elif isinstance(record, dict) and "metrics" in record:
+            result = record
+    if not ops:
+        raise ValueError(f"{path}: no perfbench op lines")
+    samples: Dict[str, List[float]] = {}
+    digests: Dict[str, object] = {}
+    for op in ops:
+        workload = op.get("workload")
+        if op.get("failures"):
+            raise ValueError(
+                f"{path}: op {op['op']} of {workload} failed: "
+                f"{op['failures'][0]}")
+        digests.setdefault(workload, op.get("digest"))
+        if op.get("traced"):
+            continue
+        value = op.get(TIME_FIELD)
+        if not isinstance(value, (int, float)) or value <= 0:
+            raise ValueError(f"{path}: op {op['op']} of {workload} "
+                             f"reports no positive {TIME_FIELD}")
+        samples.setdefault(workload, []).append(float(value))
+    if result is None:
+        raise ValueError(f"{path}: no result line")
+    if result.get("correct") is not True:
+        raise ValueError(f"{path}: the result line says correct: "
+                         f"{json.dumps(result.get('correct'))}")
+    counts = {
+        (name if "/" in name else f"{ops[0]['workload']}/{name}"):
+            metric.get("value")
+        for name, metric in result["metrics"].items()
+        if isinstance(metric, Mapping) and metric.get("unit") == "count"
     }
-
-
-def _samples(case: Mapping) -> List[float]:
-    wall = case.get("wall_s", {})
-    samples = wall.get("all") if isinstance(wall, Mapping) else None
-    if isinstance(samples, list) and samples:
-        return [float(s) for s in samples]
-    best = wall.get("best") if isinstance(wall, Mapping) else None
-    return [float(best)] if isinstance(best, (int, float)) else []
+    return {
+        "path": str(path),
+        "seeds": sorted({op.get("seed") for op in ops}, key=str),
+        "samples": samples,
+        "digests": digests,
+        "counts": counts,
+    }
 
 
 def noise_bands(
@@ -84,61 +127,27 @@ def noise_bands(
     min_rel: float = DEFAULT_MIN_REL,
     sigma: float = DEFAULT_SIGMA,
 ) -> Dict[str, Dict[str, object]]:
-    """Per-case noise bands fitted from pooled baseline samples.
+    """Per-workload noise bands fitted from pooled baseline samples.
 
-    Pooling every baseline snapshot's repeats gives the band more
-    degrees of freedom than any single best-of-N; one-sample histories
-    fall back to the ``min_rel`` floor (cv is 0).
+    Pooling every baseline's operations gives the band more degrees of
+    freedom than any one run; a single sample falls back to the
+    ``min_rel`` floor (cv is 0).
     """
+    pooled: Dict[str, List[float]] = {}
+    for transcript in baselines:
+        for workload, values in transcript["samples"].items():
+            pooled.setdefault(workload, []).extend(values)
     bands: Dict[str, Dict[str, object]] = {}
-    for payload in baselines:
-        for name, case in _case_map(payload).items():
-            bucket = bands.setdefault(
-                name,
-                {"samples": [], "revs": [], "metrics": None},
-            )
-            bucket["samples"].extend(_samples(case))
-            rev = str(payload.get("rev", "unknown"))
-            if rev not in bucket["revs"]:
-                bucket["revs"].append(rev)
-            # The newest baseline's result surface is the drift anchor.
-            bucket["metrics"] = case.get("metrics")
-    for name, bucket in bands.items():
-        samples = bucket["samples"]
-        mean = sum(samples) / len(samples) if samples else 0.0
-        if len(samples) > 1 and mean > 0:
-            variance = sum((s - mean) ** 2 for s in samples) / (
-                len(samples) - 1
-            )
-            cv = math.sqrt(variance) / mean
-        else:
-            cv = 0.0
-        bucket["best"] = min(samples) if samples else None
-        bucket["mean"] = mean if samples else None
-        bucket["cv"] = cv
-        bucket["threshold"] = max(min_rel, sigma * cv)
+    for workload, samples in pooled.items():
+        cv = (statistics.stdev(samples) / statistics.fmean(samples)
+              if len(samples) > 1 else 0.0)
+        bands[workload] = {
+            "samples": samples,
+            "median": statistics.median(samples),
+            "cv": cv,
+            "threshold": max(min_rel, sigma * cv),
+        }
     return bands
-
-
-def _changed_result_keys(
-    baseline_metrics: Optional[Mapping],
-    current_metrics: Optional[Mapping],
-    rel_tol: float = 1e-9,
-) -> List[str]:
-    if not isinstance(baseline_metrics, Mapping) or not isinstance(
-        current_metrics, Mapping
-    ):
-        return []
-    changed = []
-    for key in sorted(set(baseline_metrics) | set(current_metrics)):
-        a, b = baseline_metrics.get(key), current_metrics.get(key)
-        if a is None or b is None:
-            changed.append(key)
-        elif not math.isclose(
-            float(a), float(b), rel_tol=rel_tol, abs_tol=rel_tol
-        ):
-            changed.append(key)
-    return changed
 
 
 def evaluate(
@@ -147,96 +156,114 @@ def evaluate(
     min_rel: float = DEFAULT_MIN_REL,
     sigma: float = DEFAULT_SIGMA,
 ) -> dict:
-    """Classify one current bench snapshot against baseline history."""
+    """Classify one current transcript against baseline transcripts."""
     if min_rel < 0:
         raise ValueError("min_rel must be >= 0")
     if sigma < 0:
         raise ValueError("sigma must be >= 0")
     if not baselines:
-        raise ValueError("regress needs at least one baseline snapshot")
+        raise ValueError("regress needs at least one baseline transcript")
+    for transcript in baselines:
+        if transcript["seeds"] != current["seeds"]:
+            raise ValueError(
+                f"{transcript['path']}: seed {transcript['seeds']} differs "
+                f"from {current['seeds']} in {current['path']}")
     bands = noise_bands(baselines, min_rel=min_rel, sigma=sigma)
-    current_cases = _case_map(current)
-    rows: List[Dict[str, object]] = []
-    for name in sorted(set(bands) | set(current_cases)):
+    # Dict order: the newest baseline carrying a name wins.
+    base_digests = {name: digest for transcript in baselines
+                    for name, digest in transcript["digests"].items()}
+    base_counts = {name: value for transcript in baselines
+                   for name, value in transcript["counts"].items()}
+
+    workloads: List[Dict[str, object]] = []
+    for name in sorted(set(bands) | set(current["samples"])):
         band = bands.get(name)
-        case = current_cases.get(name)
-        if band is None or band.get("best") is None:
-            rows.append({"name": name, "verdict": "NEW"})
+        if band is None or name not in current["samples"]:
+            workloads.append(
+                {"name": name, "verdict": "NEW" if band is None else "MISSING"})
             continue
-        if case is None:
-            rows.append({"name": name, "verdict": "MISSING"})
-            continue
-        samples = _samples(case)
-        current_best = min(samples) if samples else None
-        baseline_best = float(band["best"])
+        current_median = statistics.median(current["samples"][name])
         threshold = float(band["threshold"])
-        if not current_best or baseline_best <= 0:
-            verdict = "NEW"
-            ratio = None
+        ratio = current_median / float(band["median"])
+        if ratio > 1.0 + threshold:
+            verdict = "REGRESSED"
+        elif ratio < 1.0 / (1.0 + threshold):
+            verdict = "IMPROVED"
         else:
-            ratio = current_best / baseline_best
-            if ratio > 1.0 + threshold:
-                verdict = "REGRESSED"
-            elif ratio < 1.0 / (1.0 + threshold):
-                verdict = "IMPROVED"
-            else:
-                verdict = "PASS"
-        rows.append(
-            {
-                "name": name,
-                "verdict": verdict,
-                "current_best_s": current_best,
-                "baseline_best_s": baseline_best,
-                "baseline_mean_s": band["mean"],
-                "baseline_samples": len(band["samples"]),
-                "baseline_revs": list(band["revs"]),
-                "cv": band["cv"],
-                "threshold": threshold,
-                "ratio": ratio,
-                "results_changed": _changed_result_keys(
-                    band.get("metrics"), case.get("metrics")
-                ),
-            }
-        )
-    regressed = [row["name"] for row in rows if row["verdict"] == "REGRESSED"]
+            verdict = "PASS"
+        workloads.append({
+            "name": name,
+            "verdict": verdict,
+            "current_median_s": current_median,
+            "baseline_median_s": band["median"],
+            "baseline_samples": len(band["samples"]),
+            "cv": band["cv"],
+            "threshold": threshold,
+            "ratio": ratio,
+            "digest": current["digests"].get(name),
+            "baseline_digest": base_digests.get(name),
+        })
+
+    counts: List[Dict[str, object]] = []
+    for name in sorted(set(base_counts) | set(current["counts"])):
+        if name not in base_counts:
+            verdict = "NEW"
+        elif name not in current["counts"]:
+            verdict = "MISSING"
+        else:
+            verdict = ("PASS" if current["counts"][name] == base_counts[name]
+                       else "CHANGED")
+        counts.append({"name": name, "verdict": verdict,
+                       "current": current["counts"].get(name),
+                       "baseline": base_counts.get(name)})
+
+    failed = [row["name"] for row in workloads + counts
+              if row["verdict"] in ("REGRESSED", "CHANGED")]
     return {
         "schema": REGRESS_SCHEMA_ID,
-        "current_rev": str(current.get("rev", "unknown")),
-        "baseline_revs": sorted(
-            {str(p.get("rev", "unknown")) for p in baselines}
-        ),
+        "current": current["path"],
+        "baselines": [transcript["path"] for transcript in baselines],
+        "seeds": current["seeds"],
         "min_rel": min_rel,
         "sigma": sigma,
-        "cases": rows,
-        "regressed": regressed,
-        "verdict": "REGRESSED" if regressed else "PASS",
-        "exit_code": 1 if regressed else 0,
+        "workloads": workloads,
+        "counts": counts,
+        "failed": failed,
+        "verdict": "FAIL" if failed else "PASS",
+        "exit_code": 1 if failed else 0,
     }
 
 
 def regress_table(report: Mapping) -> str:
     """Human-readable rendering of one :func:`evaluate` report."""
     lines = [
-        f"regress: {report['current_rev']} vs "
-        f"{'+'.join(report['baseline_revs'])} "
-        f"(min_rel={report['min_rel']:.0%}, sigma={report['sigma']:g})"
+        f"regress: {report['current']} vs {' + '.join(report['baselines'])} "
+        f"(seed {', '.join(map(str, report['seeds']))}, "
+        f"min_rel={report['min_rel']:.0%}, sigma={report['sigma']:g})"
     ]
-    for row in report["cases"]:
-        verdict = row["verdict"]
-        if verdict in ("NEW", "MISSING"):
-            lines.append(f"  {verdict:9s} {row['name']}")
+    for row in report["workloads"]:
+        if row["verdict"] in ("NEW", "MISSING"):
+            lines.append(f"  {row['verdict']:9s} {row['name']}")
             continue
-        ratio = row["ratio"]
         lines.append(
-            f"  {verdict:9s} {row['name']}: "
-            f"{row['current_best_s']:.3f}s vs {row['baseline_best_s']:.3f}s "
-            f"({ratio:.2f}x, band +/-{row['threshold']:.0%}, "
-            f"{row['baseline_samples']} baseline samples)"
-        )
-        if row.get("results_changed"):
-            shown = ", ".join(row["results_changed"][:4])
-            more = len(row["results_changed"]) - 4
-            suffix = f" (+{more} more)" if more > 0 else ""
-            lines.append(f"            results changed: {shown}{suffix}")
+            f"  {row['verdict']:9s} {row['name']}: {TIME_FIELD} "
+            f"{row['current_median_s']:.3f}s vs "
+            f"{row['baseline_median_s']:.3f}s ({row['ratio']:.2f}x, "
+            f"band +/-{row['threshold']:.0%}, "
+            f"{row['baseline_samples']} baseline samples)")
+        if row["digest"] != row["baseline_digest"]:
+            lines.append(f"            digest changed: "
+                         f"{str(row['baseline_digest'])[:16]} -> "
+                         f"{str(row['digest'])[:16]}")
+    verdicts = [row["verdict"] for row in report["counts"]]
+    lines.append(
+        f"  counts: {verdicts.count('PASS')} equal, "
+        f"{verdicts.count('CHANGED')} changed, "
+        f"{verdicts.count('NEW') + verdicts.count('MISSING')} on one side "
+        f"only")
+    for row in report["counts"]:
+        if row["verdict"] == "CHANGED":
+            lines.append(f"  CHANGED   {row['name']}: "
+                         f"{row['current']} vs {row['baseline']}")
     lines.append(f"verdict: {report['verdict']}")
     return "\n".join(lines)

@@ -3,9 +3,9 @@
 Covers the slice-keyed metrics primitives, the ambient observation
 context, deterministic trace sampling, the zero-perturbation contract
 (observed and unobserved runs produce identical simulated trajectories),
-jobs-invariant artifact files, schema validation, the profiling layer,
-and the runner/CLI integration (``--observe``/``--trace``, ``trace
-export``, ``report --timeline``, ``bench``, ``cache stats --json``).
+jobs-invariant artifact files, schema validation, and the runner/CLI
+integration (``--observe``/``--trace``, ``trace export``, ``report
+--timeline``, ``cache stats --json``).
 """
 
 import json
@@ -531,91 +531,17 @@ class TestTimeline:
 
 
 # ---------------------------------------------------------------------------
-# Profiling layer.
-# ---------------------------------------------------------------------------
-
-
-class TestProfiling:
-    def test_subsystem_of(self):
-        from repro.observe.profile import subsystem_of
-
-        assert subsystem_of("/x/src/repro/netsim/fabric.py") == \
-            "repro.netsim"
-        assert subsystem_of("src/repro/config.py") == "repro"
-        assert subsystem_of("/usr/lib/python3/heapq.py") is None
-
-    def test_phase_timer_accumulates_in_first_use_order(self):
-        from repro.observe.profile import PhaseTimer
-
-        timer = PhaseTimer()
-        with timer.phase("build"):
-            pass
-        with timer.phase("measure"):
-            pass
-        with timer.phase("build"):
-            pass
-        assert list(timer.jsonable()) == ["build", "measure"]
-        assert timer.total_s == pytest.approx(sum(timer.seconds.values()))
-
-    def test_real_run_attributes_most_time(self):
-        from repro.observe.profile import (
-            profile_callable,
-            profile_report,
-            subsystem_shares,
-        )
-        from repro.runner import get_experiment
-
-        experiment = get_experiment("phase_loop")
-        experiment.run(PHASE_PARAMS)  # warm lazy imports
-        __, stats = profile_callable(experiment.run, PHASE_PARAMS)
-        shares, total = subsystem_shares(stats)
-        assert total > 0
-        assert sum(shares.values()) == pytest.approx(total, rel=1e-6)
-        attributed = sum(v for k, v in shares.items() if k != "(other)")
-        assert attributed / total >= 0.9
-        report = profile_report(shares, total)
-        assert "repro.netsim" in report and "attributed" in report
-
-
-# ---------------------------------------------------------------------------
-# Bench grid.
+# Numeric flattening of result payloads.
 # ---------------------------------------------------------------------------
 
 
 class TestBench:
     def test_flatten_numeric(self):
-        from repro.runner.bench import flatten_numeric
+        from repro.observe.ledger import flatten_numeric
 
         flat = flatten_numeric(
             {"b": {"y": 2, "x": 1.5}, "a": 3, "s": "skip", "t": True})
         assert flat == {"a": 3.0, "b.x": 1.5, "b.y": 2.0}
-
-    def test_bench_filename(self):
-        from repro.runner.bench import bench_filename
-
-        assert bench_filename("abc1234") == "BENCH_abc1234.json"
-
-    def test_run_bench_payload_shape(self):
-        from repro.runner.bench import BenchCase, run_bench
-
-        case = BenchCase(name="tiny", experiment="phase_loop",
-                         params=dict(PHASE_PARAMS), work_key=None)
-        payload = run_bench(repeat=2, cases=(case,))
-        assert payload["schema"] == "repro.bench/1"
-        assert payload["repeat"] == 2
-        (row,) = payload["cases"]
-        assert row["name"] == "tiny"
-        assert len(row["wall_s"]["all"]) == 2
-        assert row["wall_s"]["best"] == min(row["wall_s"]["all"])
-        assert row["throughput_per_s"] is None
-        assert row["metrics"]["mean_iteration_ns"] > 0
-        json.dumps(payload, allow_nan=False)  # strictly JSON-able
-
-    def test_run_bench_rejects_bad_repeat(self):
-        from repro.runner.bench import run_bench
-
-        with pytest.raises(ValueError, match="repeat"):
-            run_bench(repeat=0)
 
 
 # ---------------------------------------------------------------------------
@@ -703,29 +629,3 @@ class TestObserveCLI:
                      str(cache.root)])
         assert code == 2
         assert "--json only applies to stats" in capsys.readouterr().err
-
-    def test_bench_json_payload(self, tmp_path, capsys):
-        out = tmp_path / "bench.json"
-        assert main(["bench", "--json", "--repeat", "1",
-                     "--case", "phase-loop-uniform",
-                     "--output", str(out)]) == 0
-        payload = json.loads(out.read_text())
-        assert payload["schema"] == "repro.bench/1"
-        assert [c["name"] for c in payload["cases"]] == \
-            ["phase-loop-uniform"]
-
-    def test_bench_unknown_case_fails(self, capsys):
-        assert main(["bench", "--case", "nope"]) == 2
-        assert "unknown bench case" in capsys.readouterr().err
-
-    def test_profile_json(self, tmp_path, capsys):
-        args = ["profile", "phase_loop", "--json"]
-        for key, value in PHASE_PARAMS.items():
-            args += ["--set", f"{key}={json.dumps(list(value))}"
-                     if isinstance(value, tuple) else f"{key}={value}"]
-        assert main(args) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["experiment"] == "phase_loop"
-        assert payload["total_s"] > 0
-        assert payload["attributed_fraction"] >= 0.9
-        assert "repro.netsim" in payload["shares"]
