@@ -65,8 +65,11 @@ class ChipNetwork(CoreNetworkHost):
         self._rng = rng if rng is not None else random.Random(0)
         tag = f"n{torus.node_id(coord)}"
 
-        self.core = CoreNetwork(sim, self, params, cols=cols, rows=rows,
-                                tag=tag)
+        # Per-GC sinks on every core router, all in one shared map.
+        deliver_to_gc = self._deliver_to_gc
+        self.core = CoreNetwork(
+            sim, self, params, {"gc0": deliver_to_gc, "gc1": deliver_to_gc},
+            cols=cols, rows=rows, tag=tag)
         self.edges: Dict[str, EdgeNetwork] = {
             side: EdgeNetwork(sim, side, tag, params, rows=rows)
             for side in SIDES}
@@ -104,13 +107,12 @@ class ChipNetwork(CoreNetworkHost):
                 to_core = Link(
                     sim, f"{ra.name}->core", latency_ns=0.0,
                     ser_ns_per_flit=params.cycle_ns, vcs=2, credit_flits=8,
-                    deliver=self.core.router(core_u, row).receive,
-                    in_port="RA")
+                    target=self.core.router(core_u, row), in_port="RA")
                 ra.add_output("core", to_core)
                 core_to_ra = Link(
                     sim, f"core({core_u},{row})->{ra.name}", latency_ns=0.0,
                     ser_ns_per_flit=params.cycle_ns, vcs=2, credit_flits=8,
-                    deliver=ra.receive, in_port="core")
+                    target=ra, in_port="core")
                 self.core.attach_ra(core_u, row, core_to_ra)
                 self.row_adapters[(side, row)] = ra
 
@@ -127,14 +129,6 @@ class ChipNetwork(CoreNetworkHost):
                 edge.attach_ca(ca)
                 ca.add_sink("fence", self._deliver_fence)
                 self.channel_adapters[(direction, slice_index)] = ca
-
-        # Per-GC sinks on every core router, all sharing one bound method.
-        deliver_to_gc = self._deliver_to_gc
-        for u in range(cols):
-            for v in range(rows):
-                router = self.core.router(u, v)
-                router.add_sink("gc0", deliver_to_gc)
-                router.add_sink("gc1", deliver_to_gc)
 
     # ------------------------------------------------------------------
     # Geometry cores.

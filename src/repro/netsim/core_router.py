@@ -21,7 +21,7 @@ from functools import lru_cache
 from typing import Callable, Dict, Mapping, Optional, Tuple
 
 from ..engine.simulator import Simulator
-from .fabric import FabricError, Link, Router
+from .fabric import Link, Router
 from .packet import CoreAddress, Packet, TrafficClass
 from .params import LatencyParams
 
@@ -65,20 +65,15 @@ class CoreRouter(Router):
     the sub-router traversed and hence the pipeline charge.
     """
 
+    __slots__ = ("u", "v", "_chip")
+
     def __init__(self, sim: Simulator, name: str, u: int, v: int,
-                 chip: "CoreNetworkHost", params: LatencyParams) -> None:
-        super().__init__(sim, name)
+                 chip: "CoreNetworkHost", params: LatencyParams,
+                 sinks: Mapping[str, Callable[[Packet], None]]) -> None:
+        super().__init__(sim, name, _pipeline_table(params), sinks)
         self.u = u
         self.v = v
         self._chip = chip
-        self._pipeline = _pipeline_table(params)
-
-    def pipeline_ns(self, packet: Packet, in_port: str) -> float:
-        try:
-            return self._pipeline[in_port]
-        except KeyError:
-            raise FabricError(
-                f"{self.name}: unknown in_port {in_port}") from None
 
     def route(self, packet: Packet, vc: int,
               in_port: str) -> Tuple[str, str, Optional[int]]:
@@ -111,10 +106,16 @@ class CoreNetworkHost:
 
 
 class CoreNetwork:
-    """The 24x12 mesh of Core Routers on one chip."""
+    """The 24x12 mesh of Core Routers on one chip.
+
+    ``gc_sinks`` maps ``gc0``/``gc1`` to the delivery handlers; every
+    router of the mesh shares the one map.
+    """
 
     def __init__(self, sim: Simulator, chip: CoreNetworkHost,
-                 params: LatencyParams, cols: int = 24, rows: int = 12,
+                 params: LatencyParams,
+                 gc_sinks: Mapping[str, Callable[[Packet], None]],
+                 cols: int = 24, rows: int = 12,
                  vcs: int = 2, credit_flits: int = 8,
                  tag: str = "") -> None:
         self._sim = sim
@@ -126,7 +127,7 @@ class CoreNetwork:
             for v in range(rows):
                 name = f"core({u},{v})@{tag or chip.coord}"
                 self.routers[(u, v)] = CoreRouter(sim, name, u, v, chip,
-                                                  params)
+                                                  params, gc_sinks)
         ser = params.cycle_ns  # one flit per cycle on mesh channels
         for (u, v), router in self.routers.items():
             for port, (nu, nv) in (("U+", (u + 1, v)), ("U-", (u - 1, v)),
@@ -137,7 +138,7 @@ class CoreNetwork:
                 link = Link(
                     sim, f"{router.name}->{port}", latency_ns=0.0,
                     ser_ns_per_flit=ser, vcs=vcs, credit_flits=credit_flits,
-                    deliver=neighbor.receive, in_port=port)
+                    target=neighbor, in_port=port)
                 router.add_output(port, link)
 
     def router(self, u: int, v: int) -> CoreRouter:
@@ -148,14 +149,6 @@ class CoreNetwork:
         router = self.routers[(at.tile_u, at.tile_v)]
         router.receive(packet, core_vc(packet), "inject", None)
 
-    def attach_gc_sink(self, at: CoreAddress,
-                       handler: Callable[[Packet], None]) -> None:
-        self.routers[(at.tile_u, at.tile_v)].add_sink(f"gc{at.which}",
-                                                      handler)
-
     def attach_ra(self, u: int, v: int, link: Link) -> None:
         """Wire the RA-facing output of an edge-adjacent router."""
         self.routers[(u, v)].add_output("RA", link)
-
-    def receive_from_ra(self, packet: Packet, vc: int, u: int, v: int) -> None:
-        self.routers[(u, v)].receive(packet, vc, "RA", None)

@@ -67,13 +67,23 @@ def edge_vc(packet: Packet) -> int:
 
 
 @lru_cache(maxsize=16)
-def _pipeline_table(params: LatencyParams) -> Mapping[str, float]:
-    """Pipeline charge (ns) per Edge Network router role; read-only and
-    shared by every router built with ``params``."""
-    return {"ertr": params.cycles(params.edge_hop_cycles),
-            "ra": params.cycles(params.ra_cycles),
-            "ca_tx": params.cycles(params.ca_tx_cycles),
-            "ca_rx": params.cycles(params.ca_rx_cycles)}
+def _pipeline_tables(params: LatencyParams) -> Dict[str, Mapping[str, float]]:
+    """Pipeline charge (ns) per arrival port, one table per Edge Network
+    router class; read-only and shared by every router built with
+    ``params``.
+
+    An Edge Router charges one hop whichever neighbour (or adapter) the
+    packet came from; a Row Adapter charges its crossing both ways; a
+    Channel Adapter charges encode toward the channel and decode from it.
+    """
+    ertr = params.cycles(params.edge_hop_cycles)
+    ra = params.cycles(params.ra_cycles)
+    return {
+        "EdgeRouter": dict.fromkeys(("E", "W", "N", "S", "RA", "CA"), ertr),
+        "RowAdapter": {"core": ra, "edge": ra},
+        "ChannelAdapter": {"edge": params.cycles(params.ca_tx_cycles),
+                           "channel": params.cycles(params.ca_rx_cycles)},
+    }
 
 
 @dataclass
@@ -94,15 +104,13 @@ class EdgeTarget:
 class EdgeRouter(Router):
     """One ERTR at (col, row) of an Edge Network."""
 
+    __slots__ = ("col", "row")
+
     def __init__(self, sim: Simulator, name: str, col: int, row: int,
                  params: LatencyParams) -> None:
-        super().__init__(sim, name)
+        super().__init__(sim, name, _pipeline_tables(params)["EdgeRouter"])
         self.col = col
         self.row = row
-        self._pipeline = _pipeline_table(params)
-
-    def pipeline_ns(self, packet: Packet, in_port: str) -> float:
-        return self._pipeline["ertr"]
 
     def route(self, packet: Packet, vc: int,
               in_port: str) -> Tuple[str, str, Optional[int]]:
@@ -131,16 +139,14 @@ class RowAdapter(Router):
     path through the Edge Network (exit channel choice happens here).
     """
 
+    __slots__ = ("row", "_plan_egress")
+
     def __init__(self, sim: Simulator, name: str, row: int,
                  params: LatencyParams,
                  plan_egress: Callable[[Packet], None]) -> None:
-        super().__init__(sim, name)
+        super().__init__(sim, name, _pipeline_tables(params)["RowAdapter"])
         self.row = row
-        self._pipeline = _pipeline_table(params)
         self._plan_egress = plan_egress
-
-    def pipeline_ns(self, packet: Packet, in_port: str) -> float:
-        return self._pipeline["ra"]
 
     def route(self, packet: Packet, vc: int,
               in_port: str) -> Tuple[str, str, Optional[int]]:
@@ -161,20 +167,17 @@ class ChannelAdapter(Router):
     chip for ingress planning (continue, turn, or deliver).
     """
 
+    __slots__ = ("direction", "slice_index", "_plan_ingress")
+
     def __init__(self, sim: Simulator, name: str,
                  direction: Tuple[int, int], slice_index: int,
                  params: LatencyParams,
                  plan_ingress: Callable[[Packet, Tuple[int, int]], str]) -> None:
-        super().__init__(sim, name)
+        super().__init__(sim, name,
+                         _pipeline_tables(params)["ChannelAdapter"])
         self.direction = direction
         self.slice_index = slice_index
-        self._pipeline = _pipeline_table(params)
         self._plan_ingress = plan_ingress
-
-    def pipeline_ns(self, packet: Packet, in_port: str) -> float:
-        if in_port == "edge":
-            return self._pipeline["ca_tx"]
-        return self._pipeline["ca_rx"]
 
     def route(self, packet: Packet, vc: int,
               in_port: str) -> Tuple[str, str, Optional[int]]:
@@ -231,8 +234,7 @@ class EdgeNetwork:
         source.add_output(port, Link(
             self._sim, f"{source.name}->{port}", latency_ns=0.0,
             ser_ns_per_flit=self._params.cycle_ns, vcs=vcs,
-            credit_flits=credit_flits, deliver=target.receive,
-            in_port=in_port))
+            credit_flits=credit_flits, target=target, in_port=in_port))
 
     def router(self, col: int, row: int) -> EdgeRouter:
         return self.routers[(col, row)]

@@ -16,8 +16,8 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from functools import partial
-from typing import Callable, Deque, Dict, List, Optional, Tuple
+from functools import lru_cache, partial
+from typing import Callable, Deque, Dict, List, Mapping, Optional, Tuple
 
 from ..engine.simulator import Simulator
 from .packet import Packet
@@ -39,6 +39,16 @@ class _QueuedSend:
 _NO_DEAD_VCS: frozenset = frozenset()
 
 
+@lru_cache(maxsize=None)
+def _filled(vcs: int, value: int) -> Tuple[int, ...]:
+    """``(value,) * vcs``, one shared read-only tuple per argument pair.
+
+    An untouched link's credits and per-VC send counts are these tuples;
+    its first transmit replaces them with lists of its own.
+    """
+    return (value,) * vcs
+
+
 class Link:
     """A point-to-point channel with credits and a serialization resource.
 
@@ -49,9 +59,11 @@ class Link:
     the dateline VC discipline of the torus routing
     (:mod:`repro.routing`) could deadlock behind a single shared FIFO.
     A send to an idle link with nothing queued and credits to spare
-    goes out at once; only a send that has to wait allocates its VC's
-    queue (``None`` until then, read as empty), so a link that never
-    backs up costs only its credits and counters.
+    goes out at once; only a send that has to wait allocates the queue
+    list and its VC's queue (each ``None`` until then, read as empty).
+    Credits and per-VC send counts start as shared read-only tuples and
+    become the link's own lists on its first transmit, so a link that
+    never carries a packet costs only its wiring.
 
     Attributes:
         name: Debug name.
@@ -60,36 +72,38 @@ class Link:
         ser_ns_per_flit: Serialization time per flit.
         vcs: Number of virtual channels.
         credit_flits: Input-queue depth per VC at the receiver.
-        deliver: Called as ``deliver(packet, vc, in_port, link)`` on
-            arrival: the downstream router's :meth:`Router.receive`.
-        in_port: The input port ``deliver`` is told the packet came in on.
+        target: The downstream router; an arriving packet is handed to
+            ``target.receive(packet, vc, in_port, link)``.
+        in_port: The input port ``target`` is told the packet came in on.
+        packets_sent_by_vc: Packets transmitted per VC (all zeros before
+            the first transmit).
     """
 
     __slots__ = ("_sim", "name", "latency_ns", "ser_ns_per_flit", "vcs",
-                 "_credits", "_deliver", "_in_port", "_busy_until", "_queues",
-                 "_next_vc", "failed", "_dead_vcs", "packets_sent",
+                 "_credits", "target", "_in_port", "_busy_until", "_queues",
+                 "_queued", "_next_vc", "failed", "_dead_vcs", "packets_sent",
                  "flits_sent", "packets_sent_by_vc", "busy_ns", "monitor")
 
     def __init__(self, sim: Simulator, name: str, latency_ns: float,
                  ser_ns_per_flit: float, vcs: int, credit_flits: int,
-                 deliver: Callable[[Packet, int, str, "Link"], None],
-                 in_port: str = "") -> None:
+                 target: "Router", in_port: str = "") -> None:
         self._sim = sim
         self.name = name
         self.latency_ns = latency_ns
         self.ser_ns_per_flit = ser_ns_per_flit
         self.vcs = vcs
-        self._credits = [credit_flits] * vcs
-        self._deliver = deliver
+        self._credits = _filled(vcs, credit_flits)
+        self.target = target
         self._in_port = in_port
         self._busy_until = 0.0
-        self._queues: List[Optional[Deque[_QueuedSend]]] = [None] * vcs
+        self._queues: Optional[List[Optional[Deque[_QueuedSend]]]] = None
+        self._queued = 0  # packets waiting across every VC
         self._next_vc = 0  # round-robin arbitration pointer
         self.failed = False
         self._dead_vcs: frozenset = _NO_DEAD_VCS
         self.packets_sent = 0
         self.flits_sent = 0
-        self.packets_sent_by_vc = [0] * vcs
+        self.packets_sent_by_vc = _filled(vcs, 0)
         self.busy_ns = 0.0
         # Observability (repro.observe): a LinkMonitor when the owning
         # machine is observed, else None — the unobserved hot path pays
@@ -110,27 +124,34 @@ class Link:
         now = self._sim.now
         if (self._busy_until <= now and credits[vc] >= flits
                 and self.monitor is None and not self.failed
-                and not any(self._queues) and vc not in self._dead_vcs):
+                and not self._queued and vc not in self._dead_vcs):
             # Idle and unobserved with nothing queued: the transmit branch
             # of _dispatch, taken without queueing the packet first.
             self._next_vc = vc + 1 if vc + 1 < self.vcs else 0
+            sent = self.packets_sent
+            if not sent:
+                credits = self._own_counters()
             credits[vc] -= flits
             ser = flits * self.ser_ns_per_flit
             busy_until = self._busy_until = now + ser
             self.busy_ns += ser
-            self.packets_sent += 1
+            self.packets_sent = sent + 1
             self.flits_sent += flits
             self.packets_sent_by_vc[vc] += 1
             if upstream is not None:
                 upstream.return_credits(upstream_vc, flits)
             self._sim.at(busy_until + self.latency_ns,
-                         partial(self._deliver, packet, vc, self._in_port,
-                                 self))
+                         partial(self.target.receive, packet, vc,
+                                 self._in_port, self))
             return
-        queue = self._queues[vc]
+        queues = self._queues
+        if queues is None:
+            queues = self._queues = [None] * self.vcs
+        queue = queues[vc]
         if queue is None:
-            queue = self._queues[vc] = deque()
+            queue = queues[vc] = deque()
         queue.append(_QueuedSend(packet, upstream, upstream_vc))
+        self._queued += 1
         if self.monitor is not None:
             self.monitor.on_enqueue(self._sim.now, packet, vc)
         self._dispatch()
@@ -140,14 +161,21 @@ class Link:
         self._credits[vc] += flits
         # With nothing queued there is nothing to send and no stall to
         # report, so the dispatch would be a no-op.
-        if any(self._queues):
+        if self._queued:
             self._dispatch()
+
+    def _own_counters(self) -> List[int]:
+        """Replace the shared credit and send-count tuples by lists of
+        this link's own, before its first transmit; returns the credits."""
+        credits = self._credits = list(self._credits)
+        self.packets_sent_by_vc = [0] * self.vcs
+        return credits
 
     def _eligible_vc(self) -> Optional[int]:
         """The next VC (round-robin) whose head packet has credits."""
-        queues = self._queues
-        if not any(queues):
+        if not self._queued:
             return None
+        queues = self._queues
         credits = self._credits
         vcs = self.vcs
         vc = self._next_vc
@@ -212,8 +240,11 @@ class Link:
             conflicts = (self._eligible_count() - 1
                          if monitor is not None else 0)
             head = self._queues[vc].popleft()
+            self._queued -= 1
             packet = head.packet
             flits = packet.num_flits
+            if not self.packets_sent:
+                self._own_counters()
             self._credits[vc] -= flits
             ser = flits * self.ser_ns_per_flit
             busy_until = now + ser
@@ -228,12 +259,13 @@ class Link:
             if monitor is not None:
                 monitor.on_transmit(now, packet, vc, busy_until, arrival,
                                     conflicts)
-            self._sim.at(arrival, partial(self._deliver, packet, vc,
+            self._sim.at(arrival, partial(self.target.receive, packet, vc,
                                           self._in_port, self))
 
     @property
     def queued(self) -> int:
-        return sum(len(queue) for queue in self._queues if queue)
+        """Packets waiting locally, across every VC."""
+        return self._queued
 
     # -- fault injection (repro.faults) -----------------------------------
 
@@ -274,9 +306,16 @@ class Link:
             return 0
         return self._credits[vc]
 
+    def _queue(self, vc: int) -> Deque[_QueuedSend]:
+        """``vc``'s send queue, or an empty tuple before it exists."""
+        queues = self._queues
+        if queues is None:
+            return ()
+        return queues[vc] or ()
+
     def queued_on(self, vc: int) -> int:
         """Packets waiting locally on ``vc``'s send queue."""
-        return len(self._queues[vc] or ())
+        return len(self._queue(vc))
 
     def queued_flits_on(self, vc: int) -> int:
         """Flits waiting locally on ``vc``'s send queue.
@@ -286,7 +325,12 @@ class Link:
         credits not yet spoken for by packets already committed to the
         VC.
         """
-        return sum(item.packet.num_flits for item in self._queues[vc] or ())
+        return sum(item.packet.num_flits for item in self._queue(vc))
+
+
+#: The sink map of every router without local sinks, shared: ``add_sink``
+#: replaces a router's map rather than mutate it.
+_NO_SINKS: Mapping[str, Callable[[Packet], None]] = {}
 
 
 class Router:
@@ -295,13 +339,25 @@ class Router:
     Subclasses implement :meth:`route` returning either
     ``("link", out_port, out_vc)`` or ``("local", sink_name, None)``;
     local sinks are registered callbacks (endpoint delivery).
+
+    ``pipeline`` maps each arrival port to the pipeline latency (ns) a
+    packet arriving on it is charged.  It is read, never written, so one
+    table per router class and :class:`~repro.netsim.params.LatencyParams`
+    serves every router; so can one ``sinks`` map (``add_sink`` copies).
     """
 
-    def __init__(self, sim: Simulator, name: str) -> None:
+    __slots__ = ("_sim", "name", "_pipeline", "_out", "_sinks",
+                 "packets_routed")
+
+    def __init__(self, sim: Simulator, name: str,
+                 pipeline: Mapping[str, float],
+                 sinks: Mapping[str, Callable[[Packet], None]] = _NO_SINKS
+                 ) -> None:
         self._sim = sim
         self.name = name
+        self._pipeline = pipeline
         self._out: Dict[str, Link] = {}
-        self._sinks: Dict[str, Callable[[Packet], None]] = {}
+        self._sinks = sinks
         self.packets_routed = 0
 
     # -- wiring ----------------------------------------------------------
@@ -314,7 +370,7 @@ class Router:
     def add_sink(self, port: str, handler: Callable[[Packet], None]) -> None:
         if port in self._sinks:
             raise FabricError(f"{self.name}: duplicate sink {port}")
-        self._sinks[port] = handler
+        self._sinks = {**self._sinks, port: handler}
 
     def output(self, port: str) -> Link:
         try:
@@ -335,14 +391,16 @@ class Router:
 
     # -- pipeline ---------------------------------------------------------
 
-    def pipeline_ns(self, packet: Packet, in_port: str) -> float:
-        """Pipeline latency charged on arrival; subclasses override."""
-        return 0.0
-
     def receive(self, packet: Packet, vc: int, in_port: str,
                 from_link: Optional[Link]) -> None:
-        """Entry point for packets from a link or local injection."""
-        self._sim.after(self.pipeline_ns(packet, in_port),
+        """Entry point for packets from a link or local injection: the
+        arrival port's pipeline latency, then the routing step."""
+        try:
+            delay = self._pipeline[in_port]
+        except KeyError:
+            raise FabricError(
+                f"{self.name}: unknown in_port {in_port}") from None
+        self._sim.after(delay,
                         partial(self._forward, packet, vc, in_port, from_link))
 
     def _forward(self, packet: Packet, vc: int, in_port: str,

@@ -9,13 +9,11 @@ writes, blocking reads, and raw packet injection.
 
 from __future__ import annotations
 
-import gc
 import random
-from contextlib import contextmanager
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ..engine.seeding import derive_seed
-from ..engine.simulator import Simulator
+from ..engine.simulator import Simulator, _gc_paused
 from ..faults import FaultAdviser, FaultInjector, FaultState
 from ..routing import RoutePlan, RoutingPolicy, make_policy
 from ..topology.torus import Coord, DIRECTIONS, Torus3D
@@ -23,26 +21,6 @@ from .chip import ChipNetwork, GcEndpoint
 from .config import MachineConfig
 from .fabric import FabricError, Link
 from .packet import CoreAddress, Packet, PacketKind, TrafficClass
-
-
-@contextmanager
-def _gc_paused() -> Iterator[None]:
-    """Pause the cyclic garbage collector while a machine is built.
-
-    Building a full-size machine allocates millions of long-lived objects
-    and no cyclic garbage, so every collection the allocations would
-    trigger scans a growing heap for nothing.  The collector is re-enabled
-    on exit only if it was enabled on entry, so a caller that turned it
-    off keeps it off; nothing is frozen, so a dropped machine is still
-    reclaimed.
-    """
-    was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if was_enabled:
-            gc.enable()
 
 
 class NetworkMachine:
@@ -129,7 +107,7 @@ class NetworkMachine:
                         latency_ns=params.channel_hop_ns,
                         ser_ns_per_flit=params.flit_serialization_ns,
                         vcs=params.link_vcs, credit_flits=8,
-                        deliver=ca_in.receive, in_port="channel")
+                        target=ca_in, in_port="channel")
                     chip.attach_channel((axis, sign), slice_index, link)
 
     # ------------------------------------------------------------------

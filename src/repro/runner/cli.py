@@ -26,8 +26,9 @@ Subcommands:
   workers' heartbeat stream.
 * ``regress --against A --current B`` — the regression gate over saved
   ``python3 perfbench/run.py`` output (:mod:`repro.runner.sentinel`):
-  ``run_s`` medians under a noise band, count metrics exactly; exits 1
-  on a regression or a changed count (CI-ready).
+  ``run_s`` and ``peak_rss_mb`` medians under a noise band, count
+  metrics exactly; exits 1 on a regression or a changed count
+  (CI-ready).
 
 ``run``/``sweep`` accept ``--observe``/``--trace`` (repro.observe):
 observed runs execute every configuration (no cache reads), write
@@ -490,8 +491,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=None,
         metavar="FRACTION",
-        help="relative slowdown floor below which nothing is flagged "
-        "(default: 0.10)",
+        help="relative slowdown (or growth in peak RSS) below which "
+        "nothing is flagged (default: 0.10)",
     )
     regress_parser.add_argument(
         "--sigma",

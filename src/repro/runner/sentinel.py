@@ -17,6 +17,9 @@ baselines:
   ``baseline * (1 + threshold)``), **IMPROVED** (faster than
   ``baseline / (1 + threshold)``), and **NEW** / **MISSING** for a
   workload on one side only.
+* **Memory.** Every untraced operation line also gives its workload one
+  ``peak_rss_mb`` sample, classified by the same band rules; a
+  workload whose memory REGRESSED fails as ``<workload>/peak_rss_mb``.
 * **Counts.** Every result-line metric whose unit is ``count`` (the
   work counts of a ``--trace 1`` run, such as ``engine.events``) is
   deterministic, so it is gated exactly: any difference is **CHANGED**
@@ -28,11 +31,11 @@ baselines:
   hard gate on results.
 
 The newest baseline (the last ``--against``) carrying a count or digest
-is its anchor.  The exit code is 1 iff a workload REGRESSED or a count
-CHANGED.  A transcript that cannot be trusted is an error, never a
-verdict: no operation lines, a failed operation, ``"correct": false``,
-an untraced operation without a positive ``run_s``, or seeds unlike the
-current run's.
+is its anchor.  The exit code is 1 iff a workload's time or memory
+REGRESSED or a count CHANGED.  A transcript that cannot be trusted is an
+error, never a verdict: no operation lines, a failed operation,
+``"correct": false``, an untraced operation without a positive
+``run_s`` or ``peak_rss_mb``, or seeds unlike the current run's.
 """
 
 from __future__ import annotations
@@ -59,15 +62,18 @@ DEFAULT_MIN_REL = 0.10
 DEFAULT_SIGMA = 4.0
 #: The operation field the time gate compares: the timed workload run.
 TIME_FIELD = "run_s"
+#: The operation field the memory gate compares: the op's peak RSS.
+MEMORY_FIELD = "peak_rss_mb"
 
 
 def load_transcript(path: Union[str, Path]) -> dict:
     """Read one saved ``perfbench/run.py`` stdout (raises ``ValueError``).
 
-    Returns ``{"path", "seeds", "samples", "digests", "counts"}``:
-    ``samples`` maps each workload to its untraced ``run_s`` values,
-    ``digests`` to its result digest, and ``counts`` maps
-    ``<workload>/<metric>`` to every count metric of the result line.
+    Returns ``{"path", "seeds", "samples", "memory", "digests",
+    "counts"}``: ``samples`` maps each workload to its untraced ``run_s``
+    values, ``memory`` to their ``peak_rss_mb`` values, ``digests`` to
+    its result digest, and ``counts`` maps ``<workload>/<metric>`` to
+    every count metric of the result line.
     """
     try:
         text = Path(path).read_text(encoding="utf-8")
@@ -87,6 +93,7 @@ def load_transcript(path: Union[str, Path]) -> dict:
     if not ops:
         raise ValueError(f"{path}: no perfbench op lines")
     samples: Dict[str, List[float]] = {}
+    memory: Dict[str, List[float]] = {}
     digests: Dict[str, object] = {}
     for op in ops:
         workload = op.get("workload")
@@ -97,11 +104,12 @@ def load_transcript(path: Union[str, Path]) -> dict:
         digests.setdefault(workload, op.get("digest"))
         if op.get("traced"):
             continue
-        value = op.get(TIME_FIELD)
-        if not isinstance(value, (int, float)) or value <= 0:
-            raise ValueError(f"{path}: op {op['op']} of {workload} "
-                             f"reports no positive {TIME_FIELD}")
-        samples.setdefault(workload, []).append(float(value))
+        for field, into in ((TIME_FIELD, samples), (MEMORY_FIELD, memory)):
+            value = op.get(field)
+            if not isinstance(value, (int, float)) or value <= 0:
+                raise ValueError(f"{path}: op {op['op']} of {workload} "
+                                 f"reports no positive {field}")
+            into.setdefault(workload, []).append(float(value))
     if result is None:
         raise ValueError(f"{path}: no result line")
     if result.get("correct") is not True:
@@ -117,6 +125,7 @@ def load_transcript(path: Union[str, Path]) -> dict:
         "path": str(path),
         "seeds": sorted({op.get("seed") for op in ops}, key=str),
         "samples": samples,
+        "memory": memory,
         "digests": digests,
         "counts": counts,
     }
@@ -126,16 +135,18 @@ def noise_bands(
     baselines: Sequence[Mapping],
     min_rel: float = DEFAULT_MIN_REL,
     sigma: float = DEFAULT_SIGMA,
+    key: str = "samples",
 ) -> Dict[str, Dict[str, object]]:
     """Per-workload noise bands fitted from pooled baseline samples.
 
     Pooling every baseline's operations gives the band more degrees of
     freedom than any one run; a single sample falls back to the
-    ``min_rel`` floor (cv is 0).
+    ``min_rel`` floor (cv is 0).  ``key`` picks the transcript's time
+    (``samples``) or memory (``memory``) samples.
     """
     pooled: Dict[str, List[float]] = {}
     for transcript in baselines:
-        for workload, values in transcript["samples"].items():
+        for workload, values in transcript[key].items():
             pooled.setdefault(workload, []).extend(values)
     bands: Dict[str, Dict[str, object]] = {}
     for workload, samples in pooled.items():
@@ -148,6 +159,44 @@ def noise_bands(
             "threshold": max(min_rel, sigma * cv),
         }
     return bands
+
+
+def _band_rows(
+    current: Mapping[str, List[float]],
+    bands: Mapping[str, Mapping[str, object]],
+    unit: str,
+) -> List[Dict[str, object]]:
+    """One verdict row per workload: the current median against its band.
+
+    ``unit`` suffixes the median fields (``current_median_<unit>``).
+    """
+    rows: List[Dict[str, object]] = []
+    for name in sorted(set(bands) | set(current)):
+        band = bands.get(name)
+        if band is None or name not in current:
+            rows.append(
+                {"name": name, "verdict": "NEW" if band is None else "MISSING"})
+            continue
+        current_median = statistics.median(current[name])
+        threshold = float(band["threshold"])
+        ratio = current_median / float(band["median"])
+        if ratio > 1.0 + threshold:
+            verdict = "REGRESSED"
+        elif ratio < 1.0 / (1.0 + threshold):
+            verdict = "IMPROVED"
+        else:
+            verdict = "PASS"
+        rows.append({
+            "name": name,
+            "verdict": verdict,
+            f"current_median_{unit}": current_median,
+            f"baseline_median_{unit}": band["median"],
+            "baseline_samples": len(band["samples"]),
+            "cv": band["cv"],
+            "threshold": threshold,
+            "ratio": ratio,
+        })
+    return rows
 
 
 def evaluate(
@@ -168,41 +217,23 @@ def evaluate(
             raise ValueError(
                 f"{transcript['path']}: seed {transcript['seeds']} differs "
                 f"from {current['seeds']} in {current['path']}")
-    bands = noise_bands(baselines, min_rel=min_rel, sigma=sigma)
     # Dict order: the newest baseline carrying a name wins.
     base_digests = {name: digest for transcript in baselines
                     for name, digest in transcript["digests"].items()}
     base_counts = {name: value for transcript in baselines
                    for name, value in transcript["counts"].items()}
 
-    workloads: List[Dict[str, object]] = []
-    for name in sorted(set(bands) | set(current["samples"])):
-        band = bands.get(name)
-        if band is None or name not in current["samples"]:
-            workloads.append(
-                {"name": name, "verdict": "NEW" if band is None else "MISSING"})
-            continue
-        current_median = statistics.median(current["samples"][name])
-        threshold = float(band["threshold"])
-        ratio = current_median / float(band["median"])
-        if ratio > 1.0 + threshold:
-            verdict = "REGRESSED"
-        elif ratio < 1.0 / (1.0 + threshold):
-            verdict = "IMPROVED"
-        else:
-            verdict = "PASS"
-        workloads.append({
-            "name": name,
-            "verdict": verdict,
-            "current_median_s": current_median,
-            "baseline_median_s": band["median"],
-            "baseline_samples": len(band["samples"]),
-            "cv": band["cv"],
-            "threshold": threshold,
-            "ratio": ratio,
-            "digest": current["digests"].get(name),
-            "baseline_digest": base_digests.get(name),
-        })
+    workloads = _band_rows(
+        current["samples"],
+        noise_bands(baselines, min_rel=min_rel, sigma=sigma), "s")
+    for row in workloads:
+        if row["verdict"] not in ("NEW", "MISSING"):
+            row["digest"] = current["digests"].get(row["name"])
+            row["baseline_digest"] = base_digests.get(row["name"])
+    memory = _band_rows(
+        current["memory"],
+        noise_bands(baselines, min_rel=min_rel, sigma=sigma, key="memory"),
+        "mb")
 
     counts: List[Dict[str, object]] = []
     for name in sorted(set(base_counts) | set(current["counts"])):
@@ -219,6 +250,8 @@ def evaluate(
 
     failed = [row["name"] for row in workloads + counts
               if row["verdict"] in ("REGRESSED", "CHANGED")]
+    failed += [f"{row['name']}/{MEMORY_FIELD}" for row in memory
+               if row["verdict"] == "REGRESSED"]
     return {
         "schema": REGRESS_SCHEMA_ID,
         "current": current["path"],
@@ -227,6 +260,7 @@ def evaluate(
         "min_rel": min_rel,
         "sigma": sigma,
         "workloads": workloads,
+        "memory": memory,
         "counts": counts,
         "failed": failed,
         "verdict": "FAIL" if failed else "PASS",
@@ -255,6 +289,14 @@ def regress_table(report: Mapping) -> str:
             lines.append(f"            digest changed: "
                          f"{str(row['baseline_digest'])[:16]} -> "
                          f"{str(row['digest'])[:16]}")
+    for row in report["memory"]:
+        if row["verdict"] in ("NEW", "MISSING"):
+            continue  # already named by its time row
+        lines.append(
+            f"  {row['verdict']:9s} {row['name']}: {MEMORY_FIELD} "
+            f"{row['current_median_mb']:.1f} MB vs "
+            f"{row['baseline_median_mb']:.1f} MB ({row['ratio']:.2f}x, "
+            f"band +/-{row['threshold']:.0%})")
     verdicts = [row["verdict"] for row in report["counts"]]
     lines.append(
         f"  counts: {verdicts.count('PASS')} equal, "

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Dict, List, Optional
 
 from ..analysis.aggregate import summarize_values
@@ -189,7 +190,6 @@ class OpenLoopHarness:
     def _start_source(self, node: Coord, rate: float) -> None:
         """Kick off one node's self-rescheduling injection process."""
         machine = self.machine
-        sim = machine.sim
         node_id = machine.torus.node_id(node)
         gaps = InjectionProcess(
             rate, kind=self.process,
@@ -198,16 +198,25 @@ class OpenLoopHarness:
             slot_ns=machine.params.flit_serialization_ns)
         picks = random.Random(
             derive_seed(self.seed, "traffic", "picks", node_id))
+        self._schedule_fire(node, picks, gaps)
 
-        def fire() -> None:
-            self._inject_one(node, picks)
-            next_time = sim.now + gaps.next_gap_ns()
-            if next_time < self._inject_end_ns:
-                sim.at(next_time, fire)
+    def _schedule_fire(self, node: Coord, picks: random.Random,
+                       gaps: InjectionProcess) -> None:
+        """Schedule the source's next injection, if it falls before the
+        end of the measure window.
 
-        first = sim.now + gaps.next_gap_ns()
-        if first < self._inject_end_ns:
-            sim.at(first, fire)
+        Each firing schedules a fresh event rather than itself, so a
+        source leaves no reference cycle behind.
+        """
+        sim = self.machine.sim
+        next_time = sim.now + gaps.next_gap_ns()
+        if next_time < self._inject_end_ns:
+            sim.at(next_time, partial(self._fire, node, picks, gaps))
+
+    def _fire(self, node: Coord, picks: random.Random,
+              gaps: InjectionProcess) -> None:
+        self._inject_one(node, picks)
+        self._schedule_fire(node, picks, gaps)
 
     # ------------------------------------------------------------------
     # The measurement.

@@ -1,5 +1,7 @@
 """Tests for links (credits, serialization) and the router base class."""
 
+import gc
+
 import pytest
 
 from repro.engine import Simulator
@@ -20,13 +22,21 @@ def make_packet(num_flits=1):
                   num_flits=num_flits)
 
 
+class _Sink:
+    """A stand-in downstream router: each arrival goes to ``on_arrival``."""
+
+    def __init__(self, on_arrival):
+        self.receive = on_arrival
+
+
 class TestLink:
     def test_delivers_after_serialization_and_latency(self):
         sim = Simulator()
         arrivals = []
         link = Link(sim, "l", latency_ns=5.0, ser_ns_per_flit=1.0,
                     vcs=2, credit_flits=8,
-                    deliver=lambda p, v, i, l: arrivals.append((sim.now, v)))
+                    target=_Sink(
+                        lambda p, v, i, l: arrivals.append((sim.now, v))))
         sim.at(0.0, lambda: link.send(make_packet(num_flits=2), 1))
         sim.run()
         assert arrivals == [(7.0, 1)]  # 2 flits x 1 ns + 5 ns
@@ -36,7 +46,7 @@ class TestLink:
         arrivals = []
         link = Link(sim, "l", latency_ns=0.0, ser_ns_per_flit=2.0,
                     vcs=1, credit_flits=64,
-                    deliver=lambda p, v, i, l: arrivals.append(sim.now))
+                    target=_Sink(lambda p, v, i, l: arrivals.append(sim.now)))
         def send_two():
             link.send(make_packet(), 0)
             link.send(make_packet(), 0)
@@ -47,7 +57,7 @@ class TestLink:
     def test_vc_range_checked(self):
         sim = Simulator()
         link = Link(sim, "l", 0.0, 1.0, vcs=2, credit_flits=8,
-                    deliver=lambda p, v, i, l: None)
+                    target=_Sink(lambda p, v, i, l: None))
         with pytest.raises(FabricError):
             link.send(make_packet(), 5)
         with pytest.raises(FabricError):
@@ -58,7 +68,7 @@ class TestLink:
         arrivals = []
         link = Link(sim, "l", latency_ns=0.0, ser_ns_per_flit=1.0,
                     vcs=1, credit_flits=2,
-                    deliver=lambda p, v, i, l: arrivals.append(sim.now))
+                    target=_Sink(lambda p, v, i, l: arrivals.append(sim.now)))
         def send_three():
             for __ in range(3):
                 link.send(make_packet(num_flits=1), 0)
@@ -86,7 +96,8 @@ class TestLink:
         deliveries = []
         link = Link(sim, "l", latency_ns=0.0, ser_ns_per_flit=1.0,
                     vcs=2, credit_flits=64,
-                    deliver=lambda p, v, i, l: deliveries.append((sim.now, v)))
+                    target=_Sink(
+                        lambda p, v, i, l: deliveries.append((sim.now, v))))
 
         def backlog():
             for __ in range(40):
@@ -114,7 +125,7 @@ class TestLink:
     def test_stats(self):
         sim = Simulator()
         link = Link(sim, "l", 0.0, 1.5, vcs=1, credit_flits=8,
-                    deliver=lambda p, v, i, l: None)
+                    target=_Sink(lambda p, v, i, l: None))
         sim.at(0.0, lambda: link.send(make_packet(num_flits=2), 0))
         sim.run()
         assert link.packets_sent == 1
@@ -124,7 +135,8 @@ class TestLink:
 
 def _allocated(link):
     """The VCs of ``link`` whose send queue has been allocated."""
-    return [vc for vc, queue in enumerate(link._queues) if queue is not None]
+    return [vc for vc, queue in enumerate(link._queues or ())
+            if queue is not None]
 
 
 def _record_links(monkeypatch):
@@ -161,7 +173,7 @@ class TestLazyQueues:
 
     def _link(self, sim, vcs=4):
         return Link(sim, "l", 0.0, 1.0, vcs=vcs, credit_flits=8,
-                    deliver=lambda p, v, i, l: None)
+                    target=_Sink(lambda p, v, i, l: None))
 
     def test_fresh_link_reads_empty_with_full_credits(self):
         link = self._link(Simulator())
@@ -195,7 +207,7 @@ class TestLazyQueues:
     def test_queued_reads_an_allocated_vc(self):
         sim = Simulator()
         link = Link(sim, "l", 0.0, 1.0, vcs=3, credit_flits=2,
-                    deliver=lambda p, v, i, l: None)
+                    target=_Sink(lambda p, v, i, l: None))
 
         def send_three():
             for __ in range(3):
@@ -214,7 +226,7 @@ class TestLazyQueues:
         sim = Simulator()
         arrivals = []
         link = Link(sim, "l", 0.0, 1.0, vcs=2, credit_flits=8,
-                    deliver=lambda p, v, i, l: arrivals.append(v))
+                    target=_Sink(lambda p, v, i, l: arrivals.append(v)))
         other = self._link(sim, vcs=2)
         # Restoring a VC that never failed is a no-op.
         link.restore_vc(0)
@@ -274,6 +286,57 @@ class TestLazyQueues:
         assert all(link.queued == 0 for link in links)
 
 
+class TestLazyLinkState:
+    """A link that never transmits costs only its wiring: its credits and
+    per-VC send counts are shared read-only tuples until its first
+    transmit, and it allocates no queue until a send has to wait."""
+
+    def _link(self, sim, name="l", vcs=4):
+        return Link(sim, name, 0.0, 1.0, vcs=vcs, credit_flits=8,
+                    target=_Sink(lambda p, v, i, l: None))
+
+    def test_fresh_link_reads_full_credits_and_no_sends(self):
+        link = self._link(Simulator())
+        assert [link.vc_credits(vc) for vc in range(4)] == [8, 8, 8, 8]
+        assert link.queued == 0
+        assert list(link.packets_sent_by_vc) == [0, 0, 0, 0]
+
+    def test_send_leaves_a_sibling_links_credits_untouched(self):
+        sim = Simulator()
+        link = self._link(sim, "a")
+        sibling = self._link(sim, "b")
+        shared = sibling._credits
+        sim.at(0.0, lambda: link.send(make_packet(num_flits=2), 2))
+        sim.run()
+        assert [link.vc_credits(vc) for vc in range(4)] == [8, 8, 6, 8]
+        assert link.packets_sent_by_vc == [0, 0, 1, 0]
+        assert sibling._credits is shared and shared == (8, 8, 8, 8)
+        assert [sibling.vc_credits(vc) for vc in range(4)] == [8, 8, 8, 8]
+        assert list(sibling.packets_sent_by_vc) == [0, 0, 0, 0]
+
+    def test_unused_machine_allocates_nothing_per_link(self, monkeypatch):
+        """On a built, unused 2x2x2 full-chip machine no link owns a
+        GC-tracked object, and the whole build makes 1.6 tracked objects
+        per link: the link itself, and its share of the routers (each
+        with its output-port map) and chips."""
+        config = MachineConfig(dims=(2, 2, 2))
+        NetworkMachine(config=config)  # warm: first-build imports
+        links = _record_links(monkeypatch)
+        gc.collect()
+        before = len(gc.get_objects())
+        machine = NetworkMachine(config=config)
+        gc.collect()
+        built = len(gc.get_objects()) - before
+        assert len(links) == 11_520
+        owned = {id(obj) for link in links for obj in gc.get_referents(link)
+                 if gc.is_tracked(obj)
+                 and obj not in (link._sim, link.target, Link)}
+        # Only the dead-VC set every healthy link shares.
+        assert len(owned) == 1
+        assert built / len(links) == pytest.approx(1.60, abs=0.01)
+        assert machine.sim.events_processed == 0
+
+
 class _NoOpMonitor:
     """A link monitor that records nothing; it forces the queued path."""
 
@@ -322,12 +385,8 @@ class TestIdleLinkFastPath:
 
 class _StubRouter(Router):
     def __init__(self, sim, name, decision, latency=1.0):
-        super().__init__(sim, name)
+        super().__init__(sim, name, dict.fromkeys(("inject", "in"), latency))
         self._decision = decision
-        self._latency = latency
-
-    def pipeline_ns(self, packet, in_port):
-        return self._latency
 
     def route(self, packet, vc, in_port):
         return self._decision
@@ -362,7 +421,7 @@ class TestRouter:
     def test_duplicate_wiring_rejected(self):
         sim = Simulator()
         router = _StubRouter(sim, "r", ("local", "gc0", None))
-        link = Link(sim, "l", 0.0, 1.0, 1, 8, lambda p, v, i, l: None)
+        link = Link(sim, "l", 0.0, 1.0, 1, 8, _Sink(lambda p, v, i, l: None))
         router.add_output("U+", link)
         with pytest.raises(FabricError):
             router.add_output("U+", link)
@@ -384,7 +443,7 @@ class TestRouter:
         router = _StubRouter(sim, "r", ("local", "gc0", None))
         router.add_sink("gc0", lambda p: None)
         link = Link(sim, "up", 0.0, 1.0, vcs=1, credit_flits=1,
-                    deliver=router.receive, in_port="in")
+                    target=router, in_port="in")
         def send_two():
             link.send(make_packet(), 0)
             link.send(make_packet(), 0)

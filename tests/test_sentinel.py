@@ -4,9 +4,9 @@ The inputs are transcripts shaped like the stdout of
 ``python3 perfbench/run.py``: one JSON line per operation, the metric
 table a run of every workload prints, and the JSON result line.  Covers
 noise-band fitting from pooled baseline samples, the time verdicts
-(PASS/REGRESSED/IMPROVED/NEW/MISSING), exact count gating, digest
-drift, fail-closed loading of untrustworthy transcripts, and the
-``repro-runner regress`` CLI.
+(PASS/REGRESSED/IMPROVED/NEW/MISSING), the same verdicts on
+``peak_rss_mb``, exact count gating, digest drift, fail-closed loading
+of untrustworthy transcripts, and the ``repro-runner regress`` CLI.
 """
 
 import json
@@ -38,10 +38,10 @@ QUIET = {name: [1.0, 1.0, 1.0] for name in DIGESTS}
 
 
 def op_line(index, workload, run_s, seed=1, traced=False, failures=(),
-            digest=None):
+            digest=None, peak_rss_mb=185.8):
     line = {"op": index, "workload": workload, "seed": seed,
             "traced": traced, "setup_s": 0.5, "run_s": run_s,
-            "peak_rss_mb": 185.8, "failures": list(failures),
+            "peak_rss_mb": peak_rss_mb, "failures": list(failures),
             "digest": digest or DIGESTS[workload]}
     if traced:
         line["missing_entry_points"] = []
@@ -50,19 +50,22 @@ def op_line(index, workload, run_s, seed=1, traced=False, failures=(),
 
 
 def transcript(runs, seed=1, trace=True, counts=None, digests=None,
-               correct=True):
+               correct=True, rss=None):
     """perfbench stdout for ``runs``: workload -> untraced ``run_s`` list.
 
     One workload gives the single-workload form (bare metric names);
     more give the all-workload form (``<workload>/`` names, a table).
-    ``counts`` overrides per-layer counts by (prefixed) metric name.
+    ``counts`` overrides per-layer counts by (prefixed) metric name;
+    ``rss`` sets a workload's untraced ops' ``peak_rss_mb``.
     """
     lines, metrics = [], {}
     for workload, samples in runs.items():
         digest = (digests or {}).get(workload)
         for index, run_s in enumerate(samples):
             lines.append(op_line(index, workload, run_s, seed=seed,
-                                 digest=digest))
+                                 digest=digest,
+                                 peak_rss_mb=(rss or {}).get(workload,
+                                                             185.8)))
         if trace:
             lines.append(op_line(len(samples), workload, 3 * samples[0],
                                  seed=seed, traced=True, digest=digest))
@@ -255,6 +258,30 @@ class TestEvaluate:
         assert evaluate(new, [new, old])["failed"] == \
             ["openloop-uniform-128/engine.events"]
 
+    def test_doubled_peak_rss_regresses_with_exit_one(self, tmp_path):
+        base = load(tmp_path, "a.jsonl")
+        fat = load(tmp_path, "b.jsonl", rss={"water-compression": 371.6})
+        assert fat["memory"]["water-compression"] == [371.6] * 3
+        report = evaluate(fat, [base], min_rel=0.25)
+        assert report["failed"] == ["water-compression/peak_rss_mb"]
+        assert report["exit_code"] == 1
+        # Time and counts are untouched.
+        assert all(row["verdict"] == "PASS" for row in report["workloads"])
+        verdicts = {row["name"]: row["verdict"] for row in report["memory"]}
+        assert verdicts == {"openloop-uniform-128": "PASS",
+                            "phaseloop-adaptive-reads": "PASS",
+                            "water-compression": "REGRESSED"}
+        assert "REGRESSED water-compression: peak_rss_mb 371.6 MB vs " \
+               "185.8 MB (2.00x" in regress_table(report)
+
+    def test_smaller_peak_rss_is_flagged_but_passes(self, tmp_path):
+        base = load(tmp_path, "a.jsonl")
+        lean = load(tmp_path, "b.jsonl", rss={"openloop-uniform-128": 134.6})
+        report = evaluate(lean, [base])
+        verdicts = {row["name"]: row["verdict"] for row in report["memory"]}
+        assert verdicts["openloop-uniform-128"] == "IMPROVED"
+        assert report["exit_code"] == 0
+
     def test_seed_mismatch_is_an_error(self, tmp_path):
         base = load(tmp_path, "a.jsonl", seed=2)
         current = load(tmp_path, "b.jsonl")
@@ -291,6 +318,13 @@ class TestLoadBench:
         path = write(tmp_path, "x.jsonl", transcript(
             {"water-compression": [1.0, 0.0, 1.0]}))
         with pytest.raises(ValueError, match="no positive run_s"):
+            load_transcript(path)
+
+    def test_a_zero_peak_rss_never_reaches_a_verdict(self, tmp_path):
+        path = write(tmp_path, "x.jsonl", transcript(
+            {"water-compression": [1.0, 1.0, 1.0]},
+            rss={"water-compression": 0.0}))
+        with pytest.raises(ValueError, match="no positive peak_rss_mb"):
             load_transcript(path)
 
     def test_rejects_a_cut_transcript(self, tmp_path):
@@ -338,6 +372,14 @@ class TestRegressCli:
             {name: [2.0, 2.0, 2.0] for name in QUIET}))
         rc = main(["regress", "--against", base, "--current", slow,
                    "--sigma", "0"])
+        assert rc == 1
+        assert capsys.readouterr().out.count("REGRESSED") == 3
+
+    def test_doubled_peak_rss_exits_one(self, tmp_path, capsys):
+        base = write(tmp_path, "base.jsonl", transcript(QUIET))
+        fat = write(tmp_path, "fat.jsonl", transcript(
+            QUIET, rss={name: 371.6 for name in QUIET}))
+        rc = main(["regress", "--against", base, "--current", fat])
         assert rc == 1
         assert capsys.readouterr().out.count("REGRESSED") == 3
 
