@@ -30,6 +30,7 @@ from .edge_router import (
     EdgeTarget,
     OUTER_COL,
     RowAdapter,
+    _pipeline_tables,
     edge_vc,
 )
 from .fabric import FabricError, Link
@@ -97,21 +98,25 @@ class ChipNetwork(CoreNetworkHost):
 
         # Row Adapters: one per (side, row), joining core column 0 or
         # cols-1 to the inner edge column.
+        pipelines = _pipeline_tables(params)
+        ser = params.cycle_ns
         self.row_adapters: Dict[Tuple[str, int], RowAdapter] = {}
         for side in SIDES:
             core_u = 0 if side == "L" else cols - 1
             for row in range(rows):
-                ra = RowAdapter(sim, f"ra{side}{row}@{tag}", row, params,
+                ra = RowAdapter(sim, f"ra{side}{row}@{tag}", row,
+                                pipelines["RowAdapter"],
                                 plan_egress=self._plan_egress)
                 self.edges[side].attach_ra(row, ra)
+                # Named "{ra.name}->core" by add_output.
                 to_core = Link(
-                    sim, f"{ra.name}->core", latency_ns=0.0,
-                    ser_ns_per_flit=params.cycle_ns, vcs=2, credit_flits=8,
+                    sim, None, latency_ns=0.0,
+                    ser_ns_per_flit=ser, vcs=2, credit_flits=8,
                     target=self.core.router(core_u, row), in_port="RA")
                 ra.add_output("core", to_core)
                 core_to_ra = Link(
                     sim, f"core({core_u},{row})->{ra.name}", latency_ns=0.0,
-                    ser_ns_per_flit=params.cycle_ns, vcs=2, credit_flits=8,
+                    ser_ns_per_flit=ser, vcs=2, credit_flits=8,
                     target=ra, in_port="core")
                 self.core.attach_ra(core_u, row, core_to_ra)
                 self.row_adapters[(side, row)] = ra
@@ -125,7 +130,8 @@ class ChipNetwork(CoreNetworkHost):
             for direction in edge.direction_rows:
                 ca = ChannelAdapter(
                     sim, f"ca{side}{direction}@{tag}", direction,
-                    slice_index, params, plan_ingress=self._plan_ingress)
+                    slice_index, pipelines["ChannelAdapter"],
+                    plan_ingress=self._plan_ingress)
                 edge.attach_ca(ca)
                 ca.add_sink("fence", self._deliver_fence)
                 self.channel_adapters[(direction, slice_index)] = ca

@@ -68,9 +68,9 @@ class CoreRouter(Router):
     __slots__ = ("u", "v", "_chip")
 
     def __init__(self, sim: Simulator, name: str, u: int, v: int,
-                 chip: "CoreNetworkHost", params: LatencyParams,
+                 chip: "CoreNetworkHost", pipeline: Mapping[str, float],
                  sinks: Mapping[str, Callable[[Packet], None]]) -> None:
-        super().__init__(sim, name, _pipeline_table(params), sinks)
+        super().__init__(sim, name, pipeline, sinks)
         self.u = u
         self.v = v
         self._chip = chip
@@ -119,15 +119,15 @@ class CoreNetwork:
                  vcs: int = 2, credit_flits: int = 8,
                  tag: str = "") -> None:
         self._sim = sim
-        self._params = params
         self.cols = cols
         self.rows = rows
         self.routers: Dict[Tuple[int, int], CoreRouter] = {}
+        pipeline = _pipeline_table(params)
         for u in range(cols):
             for v in range(rows):
                 name = f"core({u},{v})@{tag or chip.coord}"
                 self.routers[(u, v)] = CoreRouter(sim, name, u, v, chip,
-                                                  params, gc_sinks)
+                                                  pipeline, gc_sinks)
         ser = params.cycle_ns  # one flit per cycle on mesh channels
         for (u, v), router in self.routers.items():
             for port, (nu, nv) in (("U+", (u + 1, v)), ("U-", (u - 1, v)),
@@ -135,8 +135,9 @@ class CoreNetwork:
                 neighbor = self.routers.get((nu, nv))
                 if neighbor is None:
                     continue
+                # Nameless: add_output names it "{router.name}->{port}".
                 link = Link(
-                    sim, f"{router.name}->{port}", latency_ns=0.0,
+                    sim, None, latency_ns=0.0,
                     ser_ns_per_flit=ser, vcs=vcs, credit_flits=credit_flits,
                     target=neighbor, in_port=port)
                 router.add_output(port, link)

@@ -107,8 +107,8 @@ class EdgeRouter(Router):
     __slots__ = ("col", "row")
 
     def __init__(self, sim: Simulator, name: str, col: int, row: int,
-                 params: LatencyParams) -> None:
-        super().__init__(sim, name, _pipeline_tables(params)["EdgeRouter"])
+                 pipeline: Mapping[str, float]) -> None:
+        super().__init__(sim, name, pipeline)
         self.col = col
         self.row = row
 
@@ -142,9 +142,9 @@ class RowAdapter(Router):
     __slots__ = ("row", "_plan_egress")
 
     def __init__(self, sim: Simulator, name: str, row: int,
-                 params: LatencyParams,
+                 pipeline: Mapping[str, float],
                  plan_egress: Callable[[Packet], None]) -> None:
-        super().__init__(sim, name, _pipeline_tables(params)["RowAdapter"])
+        super().__init__(sim, name, pipeline)
         self.row = row
         self._plan_egress = plan_egress
 
@@ -165,25 +165,34 @@ class ChannelAdapter(Router):
     accounted in :mod:`repro.fullsim`); in the flit simulator it charges
     the encode/decode pipeline cycles and hands arriving packets to the
     chip for ingress planning (continue, turn, or deliver).
+
+    ``channel_arrivals`` maps each link VC to the packets taken off the
+    channel on it, counted as the adapter routes them; it is ``None``
+    until the first arrives.
     """
 
-    __slots__ = ("direction", "slice_index", "_plan_ingress")
+    __slots__ = ("direction", "slice_index", "_plan_ingress",
+                 "channel_arrivals")
 
     def __init__(self, sim: Simulator, name: str,
                  direction: Tuple[int, int], slice_index: int,
-                 params: LatencyParams,
+                 pipeline: Mapping[str, float],
                  plan_ingress: Callable[[Packet, Tuple[int, int]], str]) -> None:
-        super().__init__(sim, name,
-                         _pipeline_tables(params)["ChannelAdapter"])
+        super().__init__(sim, name, pipeline)
         self.direction = direction
         self.slice_index = slice_index
         self._plan_ingress = plan_ingress
+        self.channel_arrivals: Optional[Dict[int, int]] = None
 
     def route(self, packet: Packet, vc: int,
               in_port: str) -> Tuple[str, str, Optional[int]]:
         if in_port == "edge":
             return ("link", "channel", edge_vc(packet))
         if in_port == "channel":
+            arrivals = self.channel_arrivals
+            if arrivals is None:
+                arrivals = self.channel_arrivals = {}
+            arrivals[vc] = arrivals.get(vc, 0) + 1
             disposition = self._plan_ingress(packet, self.direction)
             if disposition == "fence":
                 return ("local", "fence", None)
@@ -201,7 +210,6 @@ class EdgeNetwork:
         self._sim = sim
         self.side = side
         self.rows = rows
-        self._params = params
         # Full link VC budget (escape + response + adaptive) unless the
         # caller narrows it: packets keep their VC across the edge mesh.
         vcs = params.link_vcs if vcs is None else vcs
@@ -212,12 +220,14 @@ class EdgeNetwork:
         if max(direction_rows.values()) >= rows:
             raise FabricError("direction rows do not fit this Edge Network")
         self.direction_rows = dict(direction_rows)
+        self._ser = params.cycle_ns  # one flit per cycle on mesh channels
         self.routers: Dict[Tuple[int, int], EdgeRouter] = {}
+        pipeline = _pipeline_tables(params)["EdgeRouter"]
         for col in range(3):
             for row in range(rows):
                 name = f"ertr{side}({col},{row})@{node_tag}"
                 self.routers[(col, row)] = EdgeRouter(sim, name, col, row,
-                                                      params)
+                                                      pipeline)
         for (col, row), router in self.routers.items():
             for port, (ncol, nrow) in (("E", (col + 1, row)),
                                        ("W", (col - 1, row)),
@@ -230,11 +240,12 @@ class EdgeNetwork:
 
     def _connect(self, source: Router, port: str, target: Router,
                  in_port: str, vcs: int, credit_flits: int) -> None:
-        """Wire ``source``'s output ``port`` to ``target``'s ``in_port``."""
+        """Wire ``source``'s output ``port`` to ``target``'s ``in_port``;
+        the link is named ``"{source.name}->{port}"``."""
         source.add_output(port, Link(
-            self._sim, f"{source.name}->{port}", latency_ns=0.0,
-            ser_ns_per_flit=self._params.cycle_ns, vcs=vcs,
-            credit_flits=credit_flits, target=target, in_port=in_port))
+            self._sim, None, latency_ns=0.0, ser_ns_per_flit=self._ser,
+            vcs=vcs, credit_flits=credit_flits, target=target,
+            in_port=in_port))
 
     def router(self, col: int, row: int) -> EdgeRouter:
         return self.routers[(col, row)]

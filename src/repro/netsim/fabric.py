@@ -43,8 +43,8 @@ _NO_DEAD_VCS: frozenset = frozenset()
 def _filled(vcs: int, value: int) -> Tuple[int, ...]:
     """``(value,) * vcs``, one shared read-only tuple per argument pair.
 
-    An untouched link's credits and per-VC send counts are these tuples;
-    its first transmit replaces them with lists of its own.
+    An untouched link's credits are this tuple; its first transmit
+    replaces it with a list of its own.
     """
     return (value,) * vcs
 
@@ -61,12 +61,16 @@ class Link:
     A send to an idle link with nothing queued and credits to spare
     goes out at once; only a send that has to wait allocates the queue
     list and its VC's queue (each ``None`` until then, read as empty).
-    Credits and per-VC send counts start as shared read-only tuples and
-    become the link's own lists on its first transmit, so a link that
-    never carries a packet costs only its wiring.
+    Credits start as a shared read-only tuple and become the link's own
+    list on its first transmit, so a link that never carries a packet
+    costs only its wiring.
+
+    A link built with ``name=None`` takes its name from the router that
+    adds it as an output: :attr:`name` is then ``"{router.name}->{port}"``,
+    formatted when read, so no link stores a name string of its own.
 
     Attributes:
-        name: Debug name.
+        name: Debug name, printed by observe artifacts and diagnoses.
         latency_ns: Propagation delay after serialization completes
             (wire + SERDES for off-chip; 0 for on-chip).
         ser_ns_per_flit: Serialization time per flit.
@@ -75,20 +79,21 @@ class Link:
         target: The downstream router; an arriving packet is handed to
             ``target.receive(packet, vc, in_port, link)``.
         in_port: The input port ``target`` is told the packet came in on.
-        packets_sent_by_vc: Packets transmitted per VC (all zeros before
-            the first transmit).
     """
 
-    __slots__ = ("_sim", "name", "latency_ns", "ser_ns_per_flit", "vcs",
-                 "_credits", "target", "_in_port", "_busy_until", "_queues",
-                 "_queued", "_next_vc", "failed", "_dead_vcs", "packets_sent",
-                 "flits_sent", "packets_sent_by_vc", "busy_ns", "monitor")
+    __slots__ = ("_sim", "_name", "_port", "latency_ns", "ser_ns_per_flit",
+                 "vcs", "_credits", "target", "_in_port", "_busy_until",
+                 "_queues", "_queued", "_next_vc", "failed", "_dead_vcs",
+                 "packets_sent", "flits_sent", "monitor")
 
-    def __init__(self, sim: Simulator, name: str, latency_ns: float,
+    def __init__(self, sim: Simulator, name: Optional[str], latency_ns: float,
                  ser_ns_per_flit: float, vcs: int, credit_flits: int,
                  target: "Router", in_port: str = "") -> None:
         self._sim = sim
-        self.name = name
+        # The whole name, or (once a router adds a nameless link as its
+        # output) that router's name, with the output port in ``_port``.
+        self._name = name
+        self._port: Optional[str] = None
         self.latency_ns = latency_ns
         self.ser_ns_per_flit = ser_ns_per_flit
         self.vcs = vcs
@@ -103,12 +108,18 @@ class Link:
         self._dead_vcs: frozenset = _NO_DEAD_VCS
         self.packets_sent = 0
         self.flits_sent = 0
-        self.packets_sent_by_vc = _filled(vcs, 0)
-        self.busy_ns = 0.0
         # Observability (repro.observe): a LinkMonitor when the owning
         # machine is observed, else None — the unobserved hot path pays
         # only these None checks.
         self.monitor = None
+
+    @property
+    def name(self) -> str:
+        """``"{source router}->{output port}"``, or the name it was built
+        with."""
+        if self._port is None:
+            return self._name
+        return f"{self._name}->{self._port}"
 
     def send(self, packet: Packet, vc: int, upstream: Optional["Link"] = None,
              upstream_vc: int = 0) -> None:
@@ -130,14 +141,12 @@ class Link:
             self._next_vc = vc + 1 if vc + 1 < self.vcs else 0
             sent = self.packets_sent
             if not sent:
-                credits = self._own_counters()
+                credits = self._credits = list(credits)
             credits[vc] -= flits
-            ser = flits * self.ser_ns_per_flit
-            busy_until = self._busy_until = now + ser
-            self.busy_ns += ser
+            busy_until = self._busy_until = (
+                now + flits * self.ser_ns_per_flit)
             self.packets_sent = sent + 1
             self.flits_sent += flits
-            self.packets_sent_by_vc[vc] += 1
             if upstream is not None:
                 upstream.return_credits(upstream_vc, flits)
             self._sim.at(busy_until + self.latency_ns,
@@ -158,18 +167,19 @@ class Link:
 
     def return_credits(self, vc: int, flits: int) -> None:
         """Downstream freed input-queue space; retry blocked sends."""
-        self._credits[vc] += flits
+        try:
+            self._credits[vc] += flits
+        except TypeError:
+            # Still the shared tuple: this link never transmitted, so no
+            # packet of its can have freed downstream space.
+            raise FabricError(
+                f"{self.name}: {flits} credit(s) returned on VC {vc} "
+                "before any transmit (credit conservation violated)"
+            ) from None
         # With nothing queued there is nothing to send and no stall to
         # report, so the dispatch would be a no-op.
         if self._queued:
             self._dispatch()
-
-    def _own_counters(self) -> List[int]:
-        """Replace the shared credit and send-count tuples by lists of
-        this link's own, before its first transmit; returns the credits."""
-        credits = self._credits = list(self._credits)
-        self.packets_sent_by_vc = [0] * self.vcs
-        return credits
 
     def _eligible_vc(self) -> Optional[int]:
         """The next VC (round-robin) whose head packet has credits."""
@@ -244,15 +254,12 @@ class Link:
             packet = head.packet
             flits = packet.num_flits
             if not self.packets_sent:
-                self._own_counters()
+                self._credits = list(self._credits)
             self._credits[vc] -= flits
-            ser = flits * self.ser_ns_per_flit
-            busy_until = now + ser
+            busy_until = now + flits * self.ser_ns_per_flit
             self._busy_until = busy_until
-            self.busy_ns += ser
             self.packets_sent += 1
             self.flits_sent += flits
-            self.packets_sent_by_vc[vc] += 1
             if head.upstream is not None:
                 head.upstream.return_credits(head.upstream_vc, flits)
             arrival = busy_until + self.latency_ns
@@ -363,8 +370,13 @@ class Router:
     # -- wiring ----------------------------------------------------------
 
     def add_output(self, port: str, link: Link) -> None:
+        """Wire ``link`` to output ``port``; a link built without a name
+        is named ``"{self.name}->{port}"`` from now on."""
         if port in self._out:
             raise FabricError(f"{self.name}: duplicate output port {port}")
+        if link._name is None:
+            link._name = self.name
+            link._port = port
         self._out[port] = link
 
     def add_sink(self, port: str, handler: Callable[[Packet], None]) -> None:

@@ -94,6 +94,8 @@ class NetworkMachine:
 
     def _wire_channels(self) -> None:
         params = self.params
+        latency = params.channel_hop_ns
+        ser = params.flit_serialization_ns
         for coord, chip in self.chips.items():
             for axis, sign in DIRECTIONS:
                 neighbor_coord = self.torus.neighbor(coord, axis, sign)
@@ -104,8 +106,7 @@ class NetworkMachine:
                     link = Link(
                         self.sim,
                         f"chan{coord}->{neighbor_coord}[{axis},{sign}]s{slice_index}",
-                        latency_ns=params.channel_hop_ns,
-                        ser_ns_per_flit=params.flit_serialization_ns,
+                        latency_ns=latency, ser_ns_per_flit=ser,
                         vcs=params.link_vcs, credit_flits=8,
                         target=ca_in, in_port="channel")
                     chip.attach_channel((axis, sign), slice_index, link)
@@ -302,12 +303,11 @@ class NetworkMachine:
         The escape/adaptive accounting view: indices follow the link VC
         map (escape VCs 0-3, response VC 4, adaptive VC 5), so tests can
         assert which layers actually carried traffic under a policy.
+        Each receiving Channel Adapter counts its arrivals per VC.
         """
         totals = [0] * self.params.link_vcs
         for chip in self.chips.values():
             for ca in chip.channel_adapters.values():
-                link = ca.output_or_none("channel")
-                if link is not None:
-                    for vc, count in enumerate(link.packets_sent_by_vc):
-                        totals[vc] += count
+                for vc, count in (ca.channel_arrivals or {}).items():
+                    totals[vc] += count
         return totals

@@ -26,8 +26,8 @@ Subcommands:
   workers' heartbeat stream.
 * ``regress --against A --current B`` — the regression gate over saved
   ``python3 perfbench/run.py`` output (:mod:`repro.runner.sentinel`):
-  ``run_s`` and ``peak_rss_mb`` medians under a noise band, count
-  metrics exactly; exits 1 on a regression or a changed count
+  ``setup_s``, ``run_s`` and ``peak_rss_mb`` medians under a noise
+  band, count metrics exactly; exits 1 on a regression or a changed count
   (CI-ready).
 
 ``run``/``sweep`` accept ``--observe``/``--trace`` (repro.observe):

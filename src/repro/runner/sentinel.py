@@ -7,19 +7,18 @@ metrics, then one JSON result line.  ``regress --against A [--against
 ...] --current B`` classifies transcript ``B`` against the pooled
 baselines:
 
-* **Time.** Every untraced operation line gives its workload one
-  ``run_s`` sample.  The current median is compared with the median of
-  the pooled baseline samples under the band ``max(min_rel, sigma *
-  cv)``, where ``cv`` is the coefficient of variation (stddev/mean) of
-  those baseline samples: quiet workloads get the tight floor, jittery
-  ones earn a wider band, and a genuine 2x slowdown clears any
-  plausible band.  Verdicts are **PASS**, **REGRESSED** (slower than
-  ``baseline * (1 + threshold)``), **IMPROVED** (faster than
-  ``baseline / (1 + threshold)``), and **NEW** / **MISSING** for a
-  workload on one side only.
-* **Memory.** Every untraced operation line also gives its workload one
-  ``peak_rss_mb`` sample, classified by the same band rules; a
-  workload whose memory REGRESSED fails as ``<workload>/peak_rss_mb``.
+* **End to end.** Every untraced operation line gives its workload one
+  sample of each end-to-end field (:data:`OP_FIELDS`: ``setup_s``,
+  ``run_s`` and ``peak_rss_mb``).  Per field, the current median is
+  compared with the median of the pooled baseline samples under the
+  band ``max(min_rel, sigma * cv)``, where ``cv`` is the coefficient of
+  variation (stddev/mean) of those baseline samples: quiet workloads
+  get the tight floor, jittery ones earn a wider band, and a genuine
+  2x regression clears any plausible band.  Verdicts are **PASS**,
+  **REGRESSED** (above ``baseline * (1 + threshold)``), **IMPROVED**
+  (below ``baseline / (1 + threshold)``), and **NEW** / **MISSING**
+  for a workload on one side only; a REGRESSED field fails as
+  ``<workload>/<field>``.
 * **Counts.** Every result-line metric whose unit is ``count`` (the
   work counts of a ``--trace 1`` run, such as ``engine.events``) is
   deterministic, so it is gated exactly: any difference is **CHANGED**
@@ -31,11 +30,11 @@ baselines:
   hard gate on results.
 
 The newest baseline (the last ``--against``) carrying a count or digest
-is its anchor.  The exit code is 1 iff a workload's time or memory
+is its anchor.  The exit code is 1 iff a workload's end-to-end field
 REGRESSED or a count CHANGED.  A transcript that cannot be trusted is an
 error, never a verdict: no operation lines, a failed operation,
-``"correct": false``, an untraced operation without a positive
-``run_s`` or ``peak_rss_mb``, or seeds unlike the current run's.
+``"correct": false``, an untraced operation without a positive value of
+every end-to-end field, or seeds unlike the current run's.
 """
 
 from __future__ import annotations
@@ -53,25 +52,28 @@ __all__ = [
     "regress_table",
 ]
 
-REGRESS_SCHEMA_ID = "repro.regress/2"
+REGRESS_SCHEMA_ID = "repro.regress/3"
 
 #: Relative slowdown floor: never flag less than a 10% delta, however
 #: quiet the baseline samples look.
 DEFAULT_MIN_REL = 0.10
 #: Band width in baseline noise units (coefficients of variation).
 DEFAULT_SIGMA = 4.0
-#: The operation field the time gate compares: the timed workload run.
-TIME_FIELD = "run_s"
-#: The operation field the memory gate compares: the op's peak RSS.
-MEMORY_FIELD = "peak_rss_mb"
+#: The end-to-end fields of an operation line, each gated by the same
+#: band rules, with the format of their values in the table.
+OP_FIELDS = {
+    "setup_s": "{:.3f}s",
+    "run_s": "{:.3f}s",
+    "peak_rss_mb": "{:.1f} MB",
+}
 
 
 def load_transcript(path: Union[str, Path]) -> dict:
     """Read one saved ``perfbench/run.py`` stdout (raises ``ValueError``).
 
-    Returns ``{"path", "seeds", "samples", "memory", "digests",
-    "counts"}``: ``samples`` maps each workload to its untraced ``run_s``
-    values, ``memory`` to their ``peak_rss_mb`` values, ``digests`` to
+    Returns ``{"path", "seeds", "samples", "digests", "counts"}``:
+    ``samples`` maps each of :data:`OP_FIELDS` to a map of each workload
+    to its untraced operations' values, ``digests`` maps each workload to
     its result digest, and ``counts`` maps ``<workload>/<metric>`` to
     every count metric of the result line.
     """
@@ -92,8 +94,8 @@ def load_transcript(path: Union[str, Path]) -> dict:
             result = record
     if not ops:
         raise ValueError(f"{path}: no perfbench op lines")
-    samples: Dict[str, List[float]] = {}
-    memory: Dict[str, List[float]] = {}
+    samples: Dict[str, Dict[str, List[float]]] = {
+        field: {} for field in OP_FIELDS}
     digests: Dict[str, object] = {}
     for op in ops:
         workload = op.get("workload")
@@ -104,7 +106,7 @@ def load_transcript(path: Union[str, Path]) -> dict:
         digests.setdefault(workload, op.get("digest"))
         if op.get("traced"):
             continue
-        for field, into in ((TIME_FIELD, samples), (MEMORY_FIELD, memory)):
+        for field, into in samples.items():
             value = op.get(field)
             if not isinstance(value, (int, float)) or value <= 0:
                 raise ValueError(f"{path}: op {op['op']} of {workload} "
@@ -125,7 +127,6 @@ def load_transcript(path: Union[str, Path]) -> dict:
         "path": str(path),
         "seeds": sorted({op.get("seed") for op in ops}, key=str),
         "samples": samples,
-        "memory": memory,
         "digests": digests,
         "counts": counts,
     }
@@ -135,18 +136,18 @@ def noise_bands(
     baselines: Sequence[Mapping],
     min_rel: float = DEFAULT_MIN_REL,
     sigma: float = DEFAULT_SIGMA,
-    key: str = "samples",
+    field: str = "run_s",
 ) -> Dict[str, Dict[str, object]]:
-    """Per-workload noise bands fitted from pooled baseline samples.
+    """Per-workload noise bands of one of :data:`OP_FIELDS`, fitted from
+    pooled baseline samples.
 
     Pooling every baseline's operations gives the band more degrees of
     freedom than any one run; a single sample falls back to the
-    ``min_rel`` floor (cv is 0).  ``key`` picks the transcript's time
-    (``samples``) or memory (``memory``) samples.
+    ``min_rel`` floor (cv is 0).
     """
     pooled: Dict[str, List[float]] = {}
     for transcript in baselines:
-        for workload, values in transcript[key].items():
+        for workload, values in transcript["samples"][field].items():
             pooled.setdefault(workload, []).extend(values)
     bands: Dict[str, Dict[str, object]] = {}
     for workload, samples in pooled.items():
@@ -164,12 +165,8 @@ def noise_bands(
 def _band_rows(
     current: Mapping[str, List[float]],
     bands: Mapping[str, Mapping[str, object]],
-    unit: str,
 ) -> List[Dict[str, object]]:
-    """One verdict row per workload: the current median against its band.
-
-    ``unit`` suffixes the median fields (``current_median_<unit>``).
-    """
+    """One verdict row per workload: the current median against its band."""
     rows: List[Dict[str, object]] = []
     for name in sorted(set(bands) | set(current)):
         band = bands.get(name)
@@ -189,8 +186,8 @@ def _band_rows(
         rows.append({
             "name": name,
             "verdict": verdict,
-            f"current_median_{unit}": current_median,
-            f"baseline_median_{unit}": band["median"],
+            "current_median": current_median,
+            "baseline_median": band["median"],
             "baseline_samples": len(band["samples"]),
             "cv": band["cv"],
             "threshold": threshold,
@@ -223,17 +220,21 @@ def evaluate(
     base_counts = {name: value for transcript in baselines
                    for name, value in transcript["counts"].items()}
 
-    workloads = _band_rows(
-        current["samples"],
-        noise_bands(baselines, min_rel=min_rel, sigma=sigma), "s")
-    for row in workloads:
-        if row["verdict"] not in ("NEW", "MISSING"):
-            row["digest"] = current["digests"].get(row["name"])
-            row["baseline_digest"] = base_digests.get(row["name"])
-    memory = _band_rows(
-        current["memory"],
-        noise_bands(baselines, min_rel=min_rel, sigma=sigma, key="memory"),
-        "mb")
+    fields = {
+        field: _band_rows(
+            current["samples"][field],
+            noise_bands(baselines, min_rel=min_rel, sigma=sigma, field=field),
+        )
+        for field in OP_FIELDS
+    }
+    digests = [
+        {
+            "name": name,
+            "digest": current["digests"][name],
+            "baseline_digest": base_digests[name],
+        }
+        for name in sorted(set(current["digests"]) & set(base_digests))
+    ]
 
     counts: List[Dict[str, object]] = []
     for name in sorted(set(base_counts) | set(current["counts"])):
@@ -248,10 +249,13 @@ def evaluate(
                        "current": current["counts"].get(name),
                        "baseline": base_counts.get(name)})
 
-    failed = [row["name"] for row in workloads + counts
-              if row["verdict"] in ("REGRESSED", "CHANGED")]
-    failed += [f"{row['name']}/{MEMORY_FIELD}" for row in memory
-               if row["verdict"] == "REGRESSED"]
+    failed = [
+        f"{row['name']}/{field}"
+        for field, rows in fields.items()
+        for row in rows
+        if row["verdict"] == "REGRESSED"
+    ]
+    failed += [row["name"] for row in counts if row["verdict"] == "CHANGED"]
     return {
         "schema": REGRESS_SCHEMA_ID,
         "current": current["path"],
@@ -259,8 +263,8 @@ def evaluate(
         "seeds": current["seeds"],
         "min_rel": min_rel,
         "sigma": sigma,
-        "workloads": workloads,
-        "memory": memory,
+        "fields": fields,
+        "digests": digests,
         "counts": counts,
         "failed": failed,
         "verdict": "FAIL" if failed else "PASS",
@@ -275,28 +279,26 @@ def regress_table(report: Mapping) -> str:
         f"(seed {', '.join(map(str, report['seeds']))}, "
         f"min_rel={report['min_rel']:.0%}, sigma={report['sigma']:g})"
     ]
-    for row in report["workloads"]:
-        if row["verdict"] in ("NEW", "MISSING"):
-            lines.append(f"  {row['verdict']:9s} {row['name']}")
-            continue
-        lines.append(
-            f"  {row['verdict']:9s} {row['name']}: {TIME_FIELD} "
-            f"{row['current_median_s']:.3f}s vs "
-            f"{row['baseline_median_s']:.3f}s ({row['ratio']:.2f}x, "
-            f"band +/-{row['threshold']:.0%}, "
-            f"{row['baseline_samples']} baseline samples)")
+    named = set()
+    for field, rows in report["fields"].items():
+        value = OP_FIELDS[field]
+        for row in rows:
+            if row["verdict"] in ("NEW", "MISSING"):
+                if row["name"] not in named:
+                    named.add(row["name"])
+                    lines.append(f"  {row['verdict']:9s} {row['name']}")
+                continue
+            lines.append(
+                f"  {row['verdict']:9s} {row['name']}: {field} "
+                f"{value.format(row['current_median'])} vs "
+                f"{value.format(row['baseline_median'])} "
+                f"({row['ratio']:.2f}x, band +/-{row['threshold']:.0%}, "
+                f"{row['baseline_samples']} baseline samples)")
+    for row in report["digests"]:
         if row["digest"] != row["baseline_digest"]:
-            lines.append(f"            digest changed: "
+            lines.append(f"  NOTE      {row['name']}: digest changed: "
                          f"{str(row['baseline_digest'])[:16]} -> "
                          f"{str(row['digest'])[:16]}")
-    for row in report["memory"]:
-        if row["verdict"] in ("NEW", "MISSING"):
-            continue  # already named by its time row
-        lines.append(
-            f"  {row['verdict']:9s} {row['name']}: {MEMORY_FIELD} "
-            f"{row['current_median_mb']:.1f} MB vs "
-            f"{row['baseline_median_mb']:.1f} MB ({row['ratio']:.2f}x, "
-            f"band +/-{row['threshold']:.0%})")
     verdicts = [row["verdict"] for row in report["counts"]]
     lines.append(
         f"  counts: {verdicts.count('PASS')} equal, "

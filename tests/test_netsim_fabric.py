@@ -1,6 +1,9 @@
 """Tests for links (credits, serialization) and the router base class."""
 
 import gc
+import hashlib
+import tracemalloc
+from collections import Counter
 
 import pytest
 
@@ -27,6 +30,16 @@ class _Sink:
 
     def __init__(self, on_arrival):
         self.receive = on_arrival
+
+
+class _CountingSink:
+    """A stand-in downstream router that counts its arrivals per VC."""
+
+    def __init__(self, vcs):
+        self.by_vc = [0] * vcs
+
+    def receive(self, packet, vc, in_port, link):
+        self.by_vc[vc] += 1
 
 
 class TestLink:
@@ -124,19 +137,41 @@ class TestLink:
 
     def test_stats(self):
         sim = Simulator()
+        arrivals = []
         link = Link(sim, "l", 0.0, 1.5, vcs=1, credit_flits=8,
-                    target=_Sink(lambda p, v, i, l: None))
+                    target=_Sink(lambda p, v, i, l: arrivals.append(sim.now)))
         sim.at(0.0, lambda: link.send(make_packet(num_flits=2), 0))
         sim.run()
         assert link.packets_sent == 1
         assert link.flits_sent == 2
-        assert link.busy_ns == pytest.approx(3.0)
+        # With no propagation delay the packet lands when the link's
+        # 3.0 ns of serialization ends.
+        assert arrivals == [pytest.approx(3.0)]
+
+    def test_credits_returned_before_any_transmit_raise(self):
+        """A link that never transmitted holds every credit already: a
+        return is a credit-conservation violation, named by link and VC."""
+        sim = Simulator()
+        router = _StubRouter(sim, "r", ("local", "gc0", None))
+        link = Link(sim, None, 0.0, 1.0, vcs=2, credit_flits=8,
+                    target=_Sink(lambda p, v, i, l: None))
+        router.add_output("U+", link)
+        with pytest.raises(FabricError, match=(
+                r"^r->U\+: 2 credit\(s\) returned on VC 1 before any "
+                r"transmit \(credit conservation violated\)$")):
+            link.return_credits(1, 2)
+        assert [link.vc_credits(vc) for vc in range(2)] == [8, 8]
 
 
 def _allocated(link):
     """The VCs of ``link`` whose send queue has been allocated."""
     return [vc for vc, queue in enumerate(link._queues or ())
             if queue is not None]
+
+
+def _owned_lists(link):
+    """The lists ``link`` refers to, in slot order."""
+    return [obj for obj in gc.get_referents(link) if type(obj) is list]
 
 
 def _record_links(monkeypatch):
@@ -150,6 +185,19 @@ def _record_links(monkeypatch):
 
     monkeypatch.setattr(Link, "__init__", record)
     return links
+
+
+def _record_sends(monkeypatch):
+    """How many sends each (link, VC) pair took."""
+    sent = Counter()
+    original = Link.send
+
+    def send(link, packet, vc, *args):
+        sent[(id(link), vc)] += 1
+        original(link, packet, vc, *args)
+
+    monkeypatch.setattr(Link, "send", send)
+    return sent
 
 
 def _record_waits(monkeypatch):
@@ -173,7 +221,7 @@ class TestLazyQueues:
 
     def _link(self, sim, vcs=4):
         return Link(sim, "l", 0.0, 1.0, vcs=vcs, credit_flits=8,
-                    target=_Sink(lambda p, v, i, l: None))
+                    target=_CountingSink(vcs))
 
     def test_fresh_link_reads_empty_with_full_credits(self):
         link = self._link(Simulator())
@@ -191,7 +239,7 @@ class TestLazyQueues:
         sim.run()
         # An idle link sends at once: nothing is allocated.
         assert _allocated(link) == []
-        assert link.packets_sent_by_vc == [0, 0, 1, 0]
+        assert link.target.by_vc == [0, 0, 1, 0]
 
         def send_two():
             link.send(make_packet(num_flits=2), 3)
@@ -201,7 +249,7 @@ class TestLazyQueues:
         sim.run()
         # The second send found the link busy: only its VC got a queue.
         assert _allocated(link) == [1]
-        assert link.packets_sent_by_vc == [0, 1, 1, 1]
+        assert link.target.by_vc == [0, 1, 1, 1]
         assert link.queued == 0
 
     def test_queued_reads_an_allocated_vc(self):
@@ -262,6 +310,7 @@ class TestLazyQueues:
         them carried a packet."""
         links = _record_links(monkeypatch)
         waited = _record_waits(monkeypatch)
+        sent = _record_sends(monkeypatch)
         machine = NetworkMachine(config=MachineConfig(
             dims=(2, 2, 1), seed=4, routing="adaptive-escape"))
         harness = OpenLoopHarness(
@@ -274,8 +323,9 @@ class TestLazyQueues:
         assert links
         allocated = {(id(link), vc) for link in links
                      for vc in _allocated(link)}
-        used = {(id(link), vc) for link in links
-                for vc, sent in enumerate(link.packets_sent_by_vc) if sent}
+        # Drained: every send was transmitted.
+        assert sum(sent.values()) == sum(link.packets_sent for link in links)
+        used = set(sent)
         assert used
         assert allocated == waited
         assert waited <= used
@@ -287,19 +337,19 @@ class TestLazyQueues:
 
 
 class TestLazyLinkState:
-    """A link that never transmits costs only its wiring: its credits and
-    per-VC send counts are shared read-only tuples until its first
-    transmit, and it allocates no queue until a send has to wait."""
+    """A link that never transmits costs only its wiring: its credits are
+    a shared read-only tuple until its first transmit, it allocates no
+    queue until a send has to wait, and it stores no name string."""
 
     def _link(self, sim, name="l", vcs=4):
         return Link(sim, name, 0.0, 1.0, vcs=vcs, credit_flits=8,
-                    target=_Sink(lambda p, v, i, l: None))
+                    target=_CountingSink(vcs))
 
     def test_fresh_link_reads_full_credits_and_no_sends(self):
         link = self._link(Simulator())
         assert [link.vc_credits(vc) for vc in range(4)] == [8, 8, 8, 8]
         assert link.queued == 0
-        assert list(link.packets_sent_by_vc) == [0, 0, 0, 0]
+        assert link.packets_sent == link.flits_sent == 0
 
     def test_send_leaves_a_sibling_links_credits_untouched(self):
         sim = Simulator()
@@ -309,10 +359,20 @@ class TestLazyLinkState:
         sim.at(0.0, lambda: link.send(make_packet(num_flits=2), 2))
         sim.run()
         assert [link.vc_credits(vc) for vc in range(4)] == [8, 8, 6, 8]
-        assert link.packets_sent_by_vc == [0, 0, 1, 0]
+        assert link.target.by_vc == [0, 0, 1, 0]
         assert sibling._credits is shared and shared == (8, 8, 8, 8)
         assert [sibling.vc_credits(vc) for vc in range(4)] == [8, 8, 8, 8]
-        assert list(sibling.packets_sent_by_vc) == [0, 0, 0, 0]
+        assert sibling.packets_sent == 0
+        assert sibling.target.by_vc == [0, 0, 0, 0]
+
+    def test_first_transmit_allocates_only_the_credit_list(self):
+        link = self._link(Simulator())
+        assert _owned_lists(link) == []
+        link.send(make_packet(num_flits=2), 2)
+        (owned,) = _owned_lists(link)
+        assert owned is link._credits and owned == [8, 8, 6, 8]
+        link.send(make_packet(), 1)  # queues behind the first
+        assert _owned_lists(link) == [owned, link._queues]
 
     def test_unused_machine_allocates_nothing_per_link(self, monkeypatch):
         """On a built, unused 2x2x2 full-chip machine no link owns a
@@ -335,6 +395,66 @@ class TestLazyLinkState:
         assert len(owned) == 1
         assert built / len(links) == pytest.approx(1.60, abs=0.01)
         assert machine.sim.events_processed == 0
+
+    def test_unused_machine_build_bytes_per_link(self, monkeypatch):
+        """An unused 2x2x2 full-chip build retains under 340 bytes per
+        link, its share of the routers and chips included (~314 today):
+        176 are the link object, and a name string per link would add
+        ~63 more."""
+        config = MachineConfig(dims=(2, 2, 2))
+        NetworkMachine(config=config)  # warm: first-build imports
+        links = _record_links(monkeypatch)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            machine = NetworkMachine(config=config)
+            gc.collect()  # also empties the free lists the build refilled
+            retained, __ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(links) == 11_520
+        assert retained / len(links) < 340
+        assert machine.sim.events_processed == 0
+
+
+#: SHA-256 of the sorted link and router names of a 2x2x2 machine of
+#: full 24x12 chips.  Observe artifacts and diagnoses print these names,
+#: so they must not change however a link comes by its name.
+NAMES_2X2X2_SHA256 = (
+    "93aa13e6ffb52c87dac6fb71700e32de6f60902e59d7658512f2697fc68fcb90")
+
+
+class TestLinkNames:
+    def test_router_formats_a_nameless_links_name(self):
+        sim = Simulator()
+        router = _StubRouter(sim, "r", ("local", "gc0", None))
+        link = Link(sim, None, 0.0, 1.0, 1, 8, _Sink(lambda p, v, i, l: None))
+        named = Link(sim, "kept", 0.0, 1.0, 1, 8,
+                     _Sink(lambda p, v, i, l: None))
+        router.add_output("U+", link)
+        router.add_output("U-", named)
+        assert link.name == "r->U+"
+        assert named.name == "kept"
+        with pytest.raises(FabricError, match=r"^r->U\+: VC 3 out of range"):
+            link.send(make_packet(), 3)
+
+    def test_full_chip_names_are_unique_and_pinned(self, monkeypatch):
+        links = _record_links(monkeypatch)
+        machine = NetworkMachine(config=MachineConfig(dims=(2, 2, 2)))
+        link_names = [link.name for link in links]
+        routers = [router for chip in machine.chips.values()
+                   for router in (*chip.core.routers.values(),
+                                  *(router for edge in chip.edges.values()
+                                    for router in edge.routers.values()),
+                                  *chip.row_adapters.values(),
+                                  *chip.channel_adapters.values())]
+        router_names = [router.name for router in routers]
+        assert len(link_names) == 11_520 and len(router_names) == 3_168
+        assert len(set(link_names)) == len(link_names)
+        assert len(set(router_names)) == len(router_names)
+        digest = hashlib.sha256(
+            "\n".join(sorted(link_names + router_names)).encode()).hexdigest()
+        assert digest == NAMES_2X2X2_SHA256
 
 
 class _NoOpMonitor:

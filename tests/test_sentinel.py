@@ -3,10 +3,11 @@
 The inputs are transcripts shaped like the stdout of
 ``python3 perfbench/run.py``: one JSON line per operation, the metric
 table a run of every workload prints, and the JSON result line.  Covers
-noise-band fitting from pooled baseline samples, the time verdicts
-(PASS/REGRESSED/IMPROVED/NEW/MISSING), the same verdicts on
-``peak_rss_mb``, exact count gating, digest drift, fail-closed loading
-of untrustworthy transcripts, and the ``repro-runner regress`` CLI.
+noise-band fitting from pooled baseline samples, the verdicts
+(PASS/REGRESSED/IMPROVED/NEW/MISSING) on ``run_s`` and the same verdicts
+on ``setup_s`` and ``peak_rss_mb``, exact count gating, digest drift,
+fail-closed loading of untrustworthy transcripts, and the
+``repro-runner regress`` CLI.
 """
 
 import json
@@ -38,9 +39,9 @@ QUIET = {name: [1.0, 1.0, 1.0] for name in DIGESTS}
 
 
 def op_line(index, workload, run_s, seed=1, traced=False, failures=(),
-            digest=None, peak_rss_mb=185.8):
+            digest=None, peak_rss_mb=185.8, setup_s=0.5):
     line = {"op": index, "workload": workload, "seed": seed,
-            "traced": traced, "setup_s": 0.5, "run_s": run_s,
+            "traced": traced, "setup_s": setup_s, "run_s": run_s,
             "peak_rss_mb": peak_rss_mb, "failures": list(failures),
             "digest": digest or DIGESTS[workload]}
     if traced:
@@ -50,13 +51,14 @@ def op_line(index, workload, run_s, seed=1, traced=False, failures=(),
 
 
 def transcript(runs, seed=1, trace=True, counts=None, digests=None,
-               correct=True, rss=None):
+               correct=True, rss=None, setup=None):
     """perfbench stdout for ``runs``: workload -> untraced ``run_s`` list.
 
     One workload gives the single-workload form (bare metric names);
     more give the all-workload form (``<workload>/`` names, a table).
     ``counts`` overrides per-layer counts by (prefixed) metric name;
-    ``rss`` sets a workload's untraced ops' ``peak_rss_mb``.
+    ``rss`` and ``setup`` set a workload's untraced ops' ``peak_rss_mb``
+    and ``setup_s``.
     """
     lines, metrics = [], {}
     for workload, samples in runs.items():
@@ -65,7 +67,8 @@ def transcript(runs, seed=1, trace=True, counts=None, digests=None,
             lines.append(op_line(index, workload, run_s, seed=seed,
                                  digest=digest,
                                  peak_rss_mb=(rss or {}).get(workload,
-                                                             185.8)))
+                                                             185.8),
+                                 setup_s=(setup or {}).get(workload, 0.5)))
         if trace:
             lines.append(op_line(len(samples), workload, 3 * samples[0],
                                  seed=seed, traced=True, digest=digest))
@@ -138,7 +141,9 @@ class TestEvaluate:
         report = evaluate(base, [base])
         assert report["verdict"] == "PASS"
         assert report["exit_code"] == 0
-        assert [row["verdict"] for row in report["workloads"]] == ["PASS"] * 3
+        assert list(report["fields"]) == ["setup_s", "run_s", "peak_rss_mb"]
+        for rows in report["fields"].values():
+            assert [row["verdict"] for row in rows] == ["PASS"] * 3
         assert len(report["counts"]) == 6
         assert all(row["verdict"] == "PASS" for row in report["counts"])
         assert report["failed"] == []
@@ -150,14 +155,29 @@ class TestEvaluate:
         report = evaluate(slow, [base], sigma=0.0)
         assert report["verdict"] == "FAIL"
         assert report["exit_code"] == 1
-        assert report["failed"] == ["water-compression"]
+        assert report["failed"] == ["water-compression/run_s"]
+
+    def test_injected_2x_setup_regresses_with_exit_one(self, tmp_path):
+        base = load(tmp_path, "a.jsonl")
+        slow = load(tmp_path, "b.jsonl", setup={"openloop-uniform-128": 1.0})
+        assert slow["samples"]["setup_s"]["openloop-uniform-128"] == [1.0] * 3
+        report = evaluate(slow, [base], sigma=0.0)
+        assert report["failed"] == ["openloop-uniform-128/setup_s"]
+        assert report["exit_code"] == 1
+        # run_s and peak RSS are untouched.
+        for field in ("run_s", "peak_rss_mb"):
+            assert all(row["verdict"] == "PASS"
+                       for row in report["fields"][field])
+        assert "REGRESSED openloop-uniform-128: setup_s 1.000s vs 0.500s " \
+               "(2.00x" in regress_table(report)
 
     def test_improvement_is_flagged_but_passes(self, tmp_path):
         base = load(tmp_path, "a.jsonl")
         fast = load(tmp_path, "b.jsonl",
                     {**QUIET, "openloop-uniform-128": [0.5, 0.5, 0.5]})
         report = evaluate(fast, [base])
-        verdicts = {row["name"]: row["verdict"] for row in report["workloads"]}
+        verdicts = {row["name"]: row["verdict"]
+                    for row in report["fields"]["run_s"]}
         assert verdicts == {"openloop-uniform-128": "IMPROVED",
                             "phaseloop-adaptive-reads": "PASS",
                             "water-compression": "PASS"}
@@ -170,7 +190,7 @@ class TestEvaluate:
         report = evaluate(current, [base])
         # 21% slower than the baseline median, but the fitted band is
         # wider than the 10% floor, so this is jitter, not a regression.
-        (row,) = report["workloads"]
+        (row,) = report["fields"]["run_s"]
         assert row["threshold"] > 0.21
         assert report["verdict"] == "PASS"
 
@@ -180,9 +200,11 @@ class TestEvaluate:
         current = load(tmp_path, "b.jsonl",
                        {"water-compression": [1.0, 1.0, 1.0]})
         report = evaluate(current, [base])
-        verdicts = {row["name"]: row["verdict"] for row in report["workloads"]}
-        assert verdicts == {"water-compression": "NEW",
-                            "openloop-uniform-128": "MISSING"}
+        for rows in report["fields"].values():
+            verdicts = {row["name"]: row["verdict"] for row in rows}
+            assert verdicts == {"water-compression": "NEW",
+                                "openloop-uniform-128": "MISSING"}
+        assert report["digests"] == []
         assert {row["verdict"] for row in report["counts"]} == \
             {"NEW", "MISSING"}
         assert report["exit_code"] == 0
@@ -192,11 +214,11 @@ class TestEvaluate:
         drifted = load(tmp_path, "b.jsonl",
                        digests={"water-compression": "ab" * 32})
         report = evaluate(drifted, [base])
-        row = {r["name"]: r for r in report["workloads"]}["water-compression"]
-        assert row["verdict"] == "PASS"  # digest drift is reported only
+        assert report["verdict"] == "PASS"  # digest drift is reported only
+        row = {r["name"]: r for r in report["digests"]}["water-compression"]
         assert row["digest"] != row["baseline_digest"]
-        assert "digest changed: 5e6a1c045e6a1c04 -> abababababababab" in \
-            regress_table(report)
+        assert "water-compression: digest changed: 5e6a1c045e6a1c04 -> " \
+            "abababababababab" in regress_table(report)
 
     def test_rejects_empty_baselines_and_bad_knobs(self, tmp_path):
         base = load(tmp_path, "a.jsonl")
@@ -229,7 +251,8 @@ class TestEvaluate:
         report = evaluate(drifted, [base], min_rel=10.0)
         assert report["failed"] == ["openloop-uniform-128/engine.events"]
         assert report["exit_code"] == 1
-        assert all(row["verdict"] == "PASS" for row in report["workloads"])
+        for rows in report["fields"].values():
+            assert all(row["verdict"] == "PASS" for row in rows)
 
     def test_single_workload_counts_compare_with_all_workload_ones(
             self, tmp_path):
@@ -261,13 +284,17 @@ class TestEvaluate:
     def test_doubled_peak_rss_regresses_with_exit_one(self, tmp_path):
         base = load(tmp_path, "a.jsonl")
         fat = load(tmp_path, "b.jsonl", rss={"water-compression": 371.6})
-        assert fat["memory"]["water-compression"] == [371.6] * 3
+        assert fat["samples"]["peak_rss_mb"]["water-compression"] == \
+            [371.6] * 3
         report = evaluate(fat, [base], min_rel=0.25)
         assert report["failed"] == ["water-compression/peak_rss_mb"]
         assert report["exit_code"] == 1
         # Time and counts are untouched.
-        assert all(row["verdict"] == "PASS" for row in report["workloads"])
-        verdicts = {row["name"]: row["verdict"] for row in report["memory"]}
+        for field in ("setup_s", "run_s"):
+            assert all(row["verdict"] == "PASS"
+                       for row in report["fields"][field])
+        verdicts = {row["name"]: row["verdict"]
+                    for row in report["fields"]["peak_rss_mb"]}
         assert verdicts == {"openloop-uniform-128": "PASS",
                             "phaseloop-adaptive-reads": "PASS",
                             "water-compression": "REGRESSED"}
@@ -278,7 +305,8 @@ class TestEvaluate:
         base = load(tmp_path, "a.jsonl")
         lean = load(tmp_path, "b.jsonl", rss={"openloop-uniform-128": 134.6})
         report = evaluate(lean, [base])
-        verdicts = {row["name"]: row["verdict"] for row in report["memory"]}
+        verdicts = {row["name"]: row["verdict"]
+                    for row in report["fields"]["peak_rss_mb"]}
         assert verdicts["openloop-uniform-128"] == "IMPROVED"
         assert report["exit_code"] == 0
 
@@ -308,7 +336,8 @@ class TestLoadBench:
         assert sum(not line.startswith("{")
                    for line in text.splitlines()) == 12
         loaded = load_transcript(write(tmp_path, "x.jsonl", text))
-        assert loaded["samples"]["water-compression"] == [1.0, 1.0, 1.0]
+        assert loaded["samples"]["run_s"]["water-compression"] == \
+            [1.0, 1.0, 1.0]
         assert loaded["seeds"] == [1]
         assert len(loaded["counts"]) == 6
 
@@ -325,6 +354,13 @@ class TestLoadBench:
             {"water-compression": [1.0, 1.0, 1.0]},
             rss={"water-compression": 0.0}))
         with pytest.raises(ValueError, match="no positive peak_rss_mb"):
+            load_transcript(path)
+
+    def test_a_zero_setup_s_never_reaches_a_verdict(self, tmp_path):
+        path = write(tmp_path, "x.jsonl", transcript(
+            {"water-compression": [1.0, 1.0, 1.0]},
+            setup={"water-compression": 0.0}))
+        with pytest.raises(ValueError, match="no positive setup_s"):
             load_transcript(path)
 
     def test_rejects_a_cut_transcript(self, tmp_path):
@@ -383,6 +419,16 @@ class TestRegressCli:
         assert rc == 1
         assert capsys.readouterr().out.count("REGRESSED") == 3
 
+    def test_doubled_setup_s_exits_one(self, tmp_path, capsys):
+        base = write(tmp_path, "base.jsonl", transcript(QUIET))
+        slow = write(tmp_path, "slow.jsonl", transcript(
+            QUIET, setup={name: 1.0 for name in QUIET}))
+        rc = main(["regress", "--against", base, "--current", slow])
+        assert rc == 1
+        out = capsys.readouterr().out
+        assert out.count("REGRESSED") == 3
+        assert out.count(": setup_s ") == 3
+
     def test_count_drift_exits_one_at_any_band(self, tmp_path, capsys):
         base = write(tmp_path, "base.jsonl", transcript(QUIET))
         drifted = write(tmp_path, "drift.jsonl", transcript(
@@ -401,13 +447,13 @@ class TestRegressCli:
                    "--current", a, "--json"])
         assert rc == 0
         report = json.loads(capsys.readouterr().out)
-        assert report["schema"] == "repro.regress/2"
+        assert report["schema"] == "repro.regress/3"
         assert report["baselines"] == [a, b]
-        samples = {row["name"]: row["baseline_samples"]
-                   for row in report["workloads"]}
-        assert samples == {"openloop-uniform-128": 3,
-                           "phaseloop-adaptive-reads": 3,
-                           "water-compression": 6}
+        for rows in report["fields"].values():
+            samples = {row["name"]: row["baseline_samples"] for row in rows}
+            assert samples == {"openloop-uniform-128": 3,
+                               "phaseloop-adaptive-reads": 3,
+                               "water-compression": 6}
 
     def test_missing_baseline_file_is_a_clean_error(self, tmp_path, capsys):
         current = write(tmp_path, "current.jsonl", transcript(QUIET))
