@@ -371,8 +371,6 @@ class TestLazyLinkState:
         link.send(make_packet(num_flits=2), 2)
         (owned,) = _owned_lists(link)
         assert owned is link._credits and owned == [8, 8, 6, 8]
-        link.send(make_packet(), 1)  # queues behind the first
-        assert _owned_lists(link) == [owned, link._queues]
 
     def test_unused_machine_allocates_nothing_per_link(self, monkeypatch):
         """On a built, unused 2x2x2 full-chip machine no link owns a
