@@ -60,12 +60,13 @@ def uniform_closed(runner_cache):
 @pytest.fixture(scope="module")
 def uniform_open(runner_cache):
     return _run(
-        "load_sweep",
+        "route_ablation",
         {
             "dims": [UNIFORM_DIMS],
             "chip_cols": 6,
             "chip_rows": 6,
             "pattern": "uniform",
+            "routing": "randomized-minimal",
             "offered_load": UNIFORM_LOADS,
             "machine_seed": 7,
             "traffic_seed": 11,

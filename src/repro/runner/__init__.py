@@ -18,7 +18,6 @@ after ``pip install -e .``).
 """
 
 from .cache import CacheStats, ResultCache, canonical_json, canonicalize, config_digest
-from .catalog import RunSurface, get_surface, list_surfaces, register_surface
 from .execute import RunResult, SweepResult, run_sweep, run_sweeps
 from .experiment import (
     Experiment,
@@ -37,10 +36,6 @@ __all__ = [
     "canonical_json",
     "canonicalize",
     "config_digest",
-    "RunSurface",
-    "get_surface",
-    "list_surfaces",
-    "register_surface",
     "RunResult",
     "SweepResult",
     "run_sweep",

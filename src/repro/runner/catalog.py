@@ -1,95 +1,25 @@
-"""Run surfaces and the auto-generated experiment catalog.
-
-A :class:`RunSurface` is the one picklable shape every experiment entry
-point shares: ``surface(params: dict) -> dict`` with declared
-``param_names``.  It names a module-level pure function by dotted path
-and resolves it lazily, so importing the registry stays cheap, workers
-only load what they execute, and the same object is both the runner's
-entry point and the catalog's documentation — the docs literally cannot
-name a function the runner does not call.
+"""The auto-generated experiment catalog.
 
 The catalog renderer (``repro-runner list --markdown``) turns the
-experiment and surface registries into a Markdown document —
-``docs/experiments.md`` is this output, committed.  The renderer is
-deterministic (sorted registries, stable value formatting), so CI can
-regenerate the catalog and fail on any diff: the committed docs can
-never drift from the registry that actually runs.
+experiment registry into a Markdown document — ``docs/experiments.md``
+is this output, committed.  Each experiment names its run surface
+once, by dotted path; the catalog reads each surface's parameters from
+its signature and its description from the first line of its
+docstring, so the docs cannot name a function the runner does not
+call.  The renderer is deterministic (sorted registries, stable value
+formatting), so CI can regenerate the catalog and fail on any diff:
+the committed docs can never drift from the registry that actually
+runs.
 """
 
 from __future__ import annotations
 
-import importlib
-from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Mapping, Tuple
+import inspect
+from typing import Iterable, List
 
-from .experiment import Experiment, ensure_builtin_experiments, list_experiments
+from .experiment import Experiment, list_experiments
 from .grid import ParameterGrid
 
-
-@dataclass(frozen=True)
-class RunSurface:
-    """A named, picklable run surface: ``surface(params) -> dict``.
-
-    ``name`` is the dotted path of a module-level pure function (JSON-
-    able keyword parameters in, JSON-able dict out); ``param_names``
-    declares the keywords it accepts, which is what ``--set`` validation
-    and the generated catalog read.  The function is resolved on call,
-    never at registration, so surfaces can be enumerated without
-    importing any simulation subsystem.
-    """
-
-    name: str
-    param_names: Tuple[str, ...]
-    description: str = ""
-
-    def __str__(self) -> str:
-        return self.name
-
-    def resolve(self) -> Callable[..., dict]:
-        """Import and return the underlying function."""
-        module_name, _, attr = self.name.rpartition(".")
-        if not module_name:
-            raise ValueError(f"surface name {self.name!r} is not a dotted path")
-        fn = getattr(importlib.import_module(module_name), attr)
-        if not callable(fn):
-            raise TypeError(f"surface {self.name!r} is not callable")
-        return fn
-
-    def __call__(self, params: Mapping[str, object]) -> dict:
-        unknown = sorted(set(params) - set(self.param_names))
-        if unknown:
-            raise ValueError(
-                f"surface {self.name!r} does not accept parameter(s) "
-                f"{', '.join(unknown)}; accepted: "
-                f"{', '.join(sorted(self.param_names))}")
-        return self.resolve()(**dict(params))
-
-
-_SURFACES: Dict[str, RunSurface] = {}
-
-
-def register_surface(surface: RunSurface, replace: bool = False) -> RunSurface:
-    """Add a surface to the registry (used at module import time)."""
-    if not replace and surface.name in _SURFACES:
-        raise ValueError(f"surface {surface.name!r} already registered")
-    _SURFACES[surface.name] = surface
-    return surface
-
-
-def get_surface(name: str) -> RunSurface:
-    """Resolve a registered surface by dotted path."""
-    ensure_builtin_experiments()
-    try:
-        return _SURFACES[name]
-    except KeyError:
-        known = ", ".join(sorted(_SURFACES)) or "(none)"
-        raise KeyError(f"unknown surface {name!r}; registered: {known}") from None
-
-
-def list_surfaces() -> List[RunSurface]:
-    """All registered surfaces, sorted by dotted path."""
-    ensure_builtin_experiments()
-    return [_SURFACES[name] for name in sorted(_SURFACES)]
 
 HEADER = """\
 # Experiment catalog
@@ -152,14 +82,13 @@ def _experiment_section(experiment: Experiment) -> List[str]:
     lines = [f"### `{experiment.name}` (v{experiment.version})", ""]
     if experiment.description:
         lines += [experiment.description, ""]
-    surface = f"`{experiment.surface}`" if experiment.surface else "—"
     smoke = (
         f"{len(experiment.smoke_grid)} points"
         if experiment.smoke_grid is not None
         else "none"
     )
     lines += [
-        f"- **surface:** {surface}",
+        f"- **surface:** `{experiment.surface}`",
         f"- **default grid:** {len(experiment.grid)} points"
         f" — **smoke grid:** {smoke}",
     ]
@@ -190,10 +119,12 @@ def _surface_rows() -> List[str]:
         "| surface | description | parameters |",
         "| --- | --- | --- |",
     ]
-    for surface in list_surfaces():
-        params = ", ".join(f"`{name}`" for name in surface.param_names)
-        rows.append(
-            f"| `{surface.name}` | {surface.description or '—'} | {params} |")
+    surfaces = {exp.surface: exp for exp in list_experiments()}
+    for path, experiment in sorted(surfaces.items()):
+        doc = inspect.getdoc(experiment.resolve())
+        description = doc.splitlines()[0] if doc else "—"
+        params = ", ".join(f"`{name}`" for name in experiment.param_names or ())
+        rows.append(f"| `{path}` | {description} | {params} |")
     return rows
 
 

@@ -154,15 +154,16 @@ def _progress(message: str) -> None:
 def _load_sweep_report(results: Sequence[SweepResult]) -> None:
     """Print latency-vs-load tables with saturation points (stderr).
 
-    Only applies to ``load_sweep``/``route_ablation`` sweeps; stdout
-    stays byte-stable for a given grid regardless.  Runs are grouped by
-    ``(pattern, routing)``, so ablation sweeps that mix adversarial
-    patterns on purpose render one table per curve.
+    Only applies to ``route_ablation`` sweeps (the ``load-sweep-*``
+    sweeps among them); stdout stays byte-stable for a given grid
+    regardless.  Runs are grouped by ``(pattern, routing)``, so
+    ablation sweeps that mix adversarial patterns on purpose render one
+    table per curve.
     """
     from ..analysis.saturation import load_sweep_tables
 
     for result in results:
-        if result.experiment not in ("load_sweep", "route_ablation"):
+        if result.experiment != "route_ablation":
             continue
         try:
             tables = load_sweep_tables(
@@ -243,11 +244,6 @@ def _add_observe(parser: argparse.ArgumentParser) -> None:
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
-        "--cache-dir",
-        default=DEFAULT_CACHE_DIR,
-        help=f"result cache directory (default: {DEFAULT_CACHE_DIR})",
-    )
-    parser.add_argument(
         "--no-cache", action="store_true", help="do not read or write the cache"
     )
     parser.add_argument(
@@ -271,6 +267,13 @@ def build_parser() -> argparse.ArgumentParser:
         "network reproduction.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # One --cache-dir for every subcommand that reads or writes the cache.
+    cache_dir = argparse.ArgumentParser(add_help=False)
+    cache_dir.add_argument(
+        "--cache-dir",
+        default=DEFAULT_CACHE_DIR,
+        help=f"result cache directory (default: {DEFAULT_CACHE_DIR})",
+    )
 
     list_parser = sub.add_parser("list", help="list experiments and named sweeps")
     list_parser.add_argument(
@@ -280,7 +283,9 @@ def build_parser() -> argparse.ArgumentParser:
         "(the generator behind docs/experiments.md)",
     )
 
-    run_parser = sub.add_parser("run", help="run one experiment configuration")
+    run_parser = sub.add_parser(
+        "run", parents=[cache_dir], help="run one experiment configuration"
+    )
     run_parser.add_argument("experiment", help="registered experiment name")
     run_parser.add_argument(
         "--set",
@@ -293,7 +298,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(run_parser)
     _add_observe(run_parser)
 
-    sweep_parser = sub.add_parser("sweep", help="run one or more parameter sweeps")
+    sweep_parser = sub.add_parser(
+        "sweep", parents=[cache_dir], help="run one or more parameter sweeps"
+    )
     sweep_parser.add_argument(
         "sweeps",
         nargs="*",
@@ -312,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_observe(sweep_parser)
 
     cache_parser = sub.add_parser(
-        "cache", help="inspect or prune the result cache"
+        "cache", parents=[cache_dir], help="inspect or prune the result cache"
     )
     cache_parser.add_argument(
         "action",
@@ -320,11 +327,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="stats: entry/byte counts per (experiment, version); "
         "prune: delete entries whose (experiment, version) no longer "
         "matches a registered experiment",
-    )
-    cache_parser.add_argument(
-        "--cache-dir",
-        default=DEFAULT_CACHE_DIR,
-        help=f"result cache directory (default: {DEFAULT_CACHE_DIR})",
     )
     cache_parser.add_argument(
         "--dry-run",
@@ -338,7 +340,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     trace_parser = sub.add_parser(
-        "trace", help="export or list recorded packet traces"
+        "trace", parents=[cache_dir],
+        help="export or list recorded packet traces",
     )
     trace_parser.add_argument(
         "action",
@@ -359,11 +362,6 @@ def build_parser() -> argparse.ArgumentParser:
         "resolving --digest against the cache",
     )
     trace_parser.add_argument(
-        "--cache-dir",
-        default=DEFAULT_CACHE_DIR,
-        help=f"result cache directory (default: {DEFAULT_CACHE_DIR})",
-    )
-    trace_parser.add_argument(
         "--packet",
         default=None,
         metavar="NODE,SEQ",
@@ -375,7 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     diagnose_parser = sub.add_parser(
-        "diagnose",
+        "diagnose", parents=[cache_dir],
         help="root-cause forensics over an observed run's artifacts",
     )
     diagnose_parser.add_argument(
@@ -389,11 +387,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="DIGEST",
         help="diff the diagnosis against a second observed run "
         "(policy-ablation forensics)",
-    )
-    diagnose_parser.add_argument(
-        "--cache-dir",
-        default=DEFAULT_CACHE_DIR,
-        help=f"result cache directory (default: {DEFAULT_CACHE_DIR})",
     )
     diagnose_parser.add_argument(
         "--json",
@@ -411,7 +404,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     ledger_parser = sub.add_parser(
-        "ledger", help="query the persistent cross-run ledger"
+        "ledger", parents=[cache_dir],
+        help="query the persistent cross-run ledger",
     )
     ledger_parser.add_argument(
         "action",
@@ -425,11 +419,6 @@ def build_parser() -> argparse.ArgumentParser:
         nargs="*",
         metavar="DIGEST",
         help="config digest (or unique prefix): one for show, two for diff",
-    )
-    ledger_parser.add_argument(
-        "--cache-dir",
-        default=DEFAULT_CACHE_DIR,
-        help=f"result cache directory (default: {DEFAULT_CACHE_DIR})",
     )
     ledger_parser.add_argument(
         "--experiment",
@@ -448,12 +437,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     status_parser = sub.add_parser(
-        "status", help="show the live sweep progress board"
-    )
-    status_parser.add_argument(
-        "--cache-dir",
-        default=DEFAULT_CACHE_DIR,
-        help=f"result cache directory (default: {DEFAULT_CACHE_DIR})",
+        "status", parents=[cache_dir], help="show the live sweep progress board"
     )
     status_parser.add_argument(
         "--watch",
@@ -510,7 +494,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--output", "-o", default="-", help="output path (default: stdout)"
     )
 
-    report_parser = sub.add_parser("report", help="format sweep results")
+    report_parser = sub.add_parser(
+        "report", parents=[cache_dir], help="format sweep results"
+    )
     report_parser.add_argument(
         "--input",
         "-i",
@@ -522,9 +508,6 @@ def build_parser() -> argparse.ArgumentParser:
         nargs="?",
         default=None,
         help="with no --input: cache entries of this experiment only",
-    )
-    report_parser.add_argument(
-        "--cache-dir", default=DEFAULT_CACHE_DIR, help="result cache directory"
     )
     report_parser.add_argument(
         "--format", choices=("table", "csv"), default="table", help="report format"
@@ -609,8 +592,7 @@ def _cmd_list(args: argparse.Namespace) -> int:
 def _cmd_run(args: argparse.Namespace) -> int:
     experiment = get_experiment(args.experiment)
     overrides = _parse_set(args.assignments)
-    # Fail fast on --set typos: an unknown key would otherwise vanish
-    # into the experiment wrapper's **params (or crash a worker).
+    # Fail fast on --set typos, before the cache lookup or any run.
     experiment.validate_params(overrides)
     grid = ParameterGrid({key: [value] for key, value in overrides.items()})
     sweep = Sweep(experiment.name, grid, label=f"run-{experiment.name}")

@@ -103,16 +103,16 @@ def _execute_task(
 ) -> Tuple[dict, float, Optional[Dict[str, list]]]:
     """Worker entry point: run one configuration, canonicalize the result.
 
-    The :class:`Experiment` itself travels in the task (its ``fn`` is a
-    module-level function, picklable by reference), so workers need no
-    registry state — custom-registered experiments work under any
-    multiprocessing start method, fork or spawn.  The third element is
-    the :class:`~repro.observe.config.ObserveConfig` (or ``None``): it
-    is activated as the ambient context around the run, so any machine
-    the experiment builds observes itself, and the collected artifacts
-    travel back with the result.  The fourth is the status heartbeat
-    target (or ``None``): lifecycle events are appended strictly before
-    and after the simulation, never inside it.
+    The :class:`Experiment` itself travels in the task (its surface is a
+    dotted path, or a module-level function picklable by reference), so
+    workers need no registry state — custom-registered experiments work
+    under any multiprocessing start method, fork or spawn.  The third
+    element is the :class:`~repro.observe.config.ObserveConfig` (or
+    ``None``): it is activated as the ambient context around the run,
+    so any machine the experiment builds observes itself, and the
+    collected artifacts travel back with the result.  The fourth is the
+    status heartbeat target (or ``None``): lifecycle events are appended
+    strictly before and after the simulation, never inside it.
     """
     experiment, params, observe, status = task
     if status is not None:

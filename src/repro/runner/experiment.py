@@ -9,8 +9,10 @@ experiments by name through the module-level registry, so only the
 
 from __future__ import annotations
 
+import importlib
+import inspect
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Mapping, Optional, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Tuple, Union
 
 from .grid import ParameterGrid
 
@@ -21,69 +23,65 @@ RunFn = Callable[..., dict]
 class Experiment:
     """A named, parameterized, cacheable unit of simulation work.
 
-    The run entry point is either a :class:`~repro.runner.catalog.
-    RunSurface` passed as ``surface`` (the built-in experiments: a
-    registered, importable-by-name surface that maps a params dict to a
-    result dict) or a plain ``fn`` (custom registrations).  Either must
-    be picklable and free of process-local state: the runner may execute
-    it in a worker process.  Bump ``version`` when run semantics change
-    so stale cache entries stop matching.  ``param_names`` declares the
-    accepted parameter names so overrides can be validated up front; it
-    defaults to the surface's declaration, and ``None`` (no surface, no
-    declaration) disables validation.
+    ``surface`` names the run entry point once: the dotted path of a
+    module-level pure function (the built-in experiments), or the
+    function itself (custom registrations).  A dotted path is imported
+    on first use, so the registry stays cheap to import and workers
+    only load what they run.  The runner may execute the function in a
+    worker process, so it must be free of process-local state (and
+    picklable by reference when passed as a callable).  The accepted
+    parameter names are the function's own keyword parameters.  Bump
+    ``version`` when run semantics change so stale cache entries stop
+    matching.
     """
 
     name: str
-    fn: Optional[RunFn] = None
-    grid: Optional[ParameterGrid] = None
+    surface: Union[str, RunFn]
+    grid: ParameterGrid
     description: str = ""
     version: int = 1
     smoke_grid: Optional[ParameterGrid] = None
-    param_names: Optional[Tuple[str, ...]] = None
-    #: A RunSurface (callable, preferred) or a bare dotted path string
-    #: (documentation only — ``fn`` must then carry the behavior).
-    surface: object = ""
 
-    def __post_init__(self) -> None:
-        if self.grid is None:
-            raise TypeError(f"experiment {self.name!r} requires a grid")
-        if self.fn is None and not callable(self.surface):
-            raise TypeError(
-                f"experiment {self.name!r} needs fn= or a callable "
-                "surface= (a RunSurface)")
-        if self.param_names is None:
-            declared = getattr(self.surface, "param_names", None)
-            if declared is not None:
-                object.__setattr__(self, "param_names", tuple(declared))
+    def resolve(self) -> RunFn:
+        """The entry-point function, importing its module if needed."""
+        if callable(self.surface):
+            return self.surface
+        module_name, _, attr = self.surface.rpartition(".")
+        return getattr(importlib.import_module(module_name), attr)
 
     @property
-    def surface_name(self) -> str:
-        """The surface's dotted path, or ``""`` when undeclared."""
-        return str(self.surface) if self.surface else ""
+    def param_names(self) -> Optional[Tuple[str, ...]]:
+        """The surface's parameter names, in signature order.
+
+        ``None`` when the surface takes ``**kwargs``: it accepts any
+        name, so there is nothing to validate against.
+        """
+        parameters = inspect.signature(self.resolve()).parameters.values()
+        if any(p.kind is p.VAR_KEYWORD for p in parameters):
+            return None
+        return tuple(p.name for p in parameters)
 
     def run(self, params: Mapping[str, object]) -> dict:
         """Execute one configuration."""
-        if self.fn is not None:
-            return self.fn(**dict(params))
-        return self.surface(dict(params))
+        self.validate_params(params)
+        return self.resolve()(**dict(params))
 
     def validate_params(self, params: Mapping[str, object]) -> None:
-        """Reject parameter names ``fn`` does not accept.
+        """Reject parameter names the surface does not accept.
 
-        A no-op when the experiment declares no ``param_names`` (custom
-        registrations); otherwise raises ``ValueError`` naming both the
-        unknown and the accepted parameters, so a typo in ``--set``
-        fails loudly instead of dying deep inside a worker (or, worse,
-        being silently swallowed by a ``**params`` wrapper).
+        Raises ``ValueError`` naming both the unknown and the accepted
+        parameters, so a typo in ``--set`` or in a grid fails loudly
+        instead of dying deep inside a worker.  A ``**kwargs`` surface
+        accepts every name.
         """
-        if self.param_names is None:
+        names = self.param_names
+        if names is None:
             return
-        unknown = sorted(set(params) - set(self.param_names))
+        unknown = sorted(set(params) - set(names))
         if unknown:
-            known = ", ".join(sorted(self.param_names))
             raise ValueError(
                 f"experiment {self.name!r} does not accept parameter(s) "
-                f"{', '.join(unknown)}; accepted: {known}"
+                f"{', '.join(unknown)}; accepted: {', '.join(sorted(names))}"
             )
 
 

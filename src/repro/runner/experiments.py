@@ -1,187 +1,22 @@
 """Built-in experiments: the paper's figure grids as declarative sweeps.
 
-Each experiment binds one registered :class:`~repro.runner.catalog.
-RunSurface` (``repro.netsim.surface``, ``repro.fence.surface``,
-``repro.traffic.surface``, ``repro.workload.surface``,
-``repro.faults.surface``, ``repro.fullsim.surface``) to the parameter
-grid the corresponding benchmark sweeps — the single source of truth
-shared by ``benchmarks/``, ``examples/``, and the
-``python -m repro.runner`` CLI.  Surfaces resolve their functions by
-dotted path at call time, so importing the registry stays cheap and
+Each experiment names its run surface once, by the dotted path of a
+pure module-level function (``repro.netsim.surface``,
+``repro.fence.surface``, ``repro.traffic.surface``,
+``repro.workload.surface``, ``repro.faults.surface``,
+``repro.fullsim.surface``), and binds it to the parameter grid the
+corresponding benchmark sweeps — the single source of truth shared by
+``benchmarks/``, ``examples/``, and the ``python -m repro.runner`` CLI.
+The accepted parameters are the function's own signature.  Surfaces are
+imported on first use, so importing the registry stays cheap and
 workers only load what they execute.  Smoke grids are tiny variants
 used by CI and tests to exercise the parallel path in seconds.
 """
 
 from __future__ import annotations
 
-from .catalog import RunSurface, register_surface
 from .experiment import Experiment, Sweep, register
 from .grid import ParameterGrid
-
-# ---------------------------------------------------------------------------
-# Run surfaces: every experiment entry point, one registry.
-# ---------------------------------------------------------------------------
-
-LATENCY_CURVE_SURFACE = register_surface(RunSurface(
-    name="repro.netsim.surface.measure_latency_curve",
-    param_names=(
-        "dims",
-        "chip_cols",
-        "chip_rows",
-        "machine_seed",
-        "harness_seed",
-        "max_hops",
-        "samples_per_hop",
-    ),
-    description="One-way ping latency per hop count on a fresh machine",
-))
-
-MIN_ONE_HOP_SURFACE = register_surface(RunSurface(
-    name="repro.netsim.surface.measure_min_one_hop",
-    param_names=(
-        "dims",
-        "chip_cols",
-        "chip_rows",
-        "machine_seed",
-        "harness_seed",
-        "samples",
-    ),
-    description="Best-placement minimum single-hop latency",
-))
-
-FENCE_CURVE_SURFACE = register_surface(RunSurface(
-    name="repro.fence.surface.measure_fence_curve",
-    param_names=(
-        "dims",
-        "chip_cols",
-        "chip_rows",
-        "seed",
-        "hops",
-        "max_hops",
-        "pattern",
-        "request_vcs",
-        "slices",
-    ),
-    description="Fence barrier latency per synchronization domain",
-))
-
-WATER_SYSTEM_SURFACE = register_surface(RunSurface(
-    name="repro.fullsim.surface.evaluate_water_system",
-    param_names=(
-        "n_atoms",
-        "steps",
-        "seed",
-        "node_dims",
-        "pcache_warmup_steps",
-    ),
-    description="Water-box traffic reduction and application speedup",
-))
-
-LOAD_POINT_SURFACE = register_surface(RunSurface(
-    name="repro.traffic.surface.measure_load_point",
-    param_names=(
-        "dims",
-        "chip_cols",
-        "chip_rows",
-        "pattern",
-        "routing",
-        "offered_load",
-        "machine_seed",
-        "traffic_seed",
-        "process",
-        "read_fraction",
-        "warmup_ns",
-        "measure_ns",
-        "drain_ns",
-        "hotspot_fraction",
-    ),
-    description="One open-loop synthetic-traffic load point",
-))
-
-WINDOW_POINT_SURFACE = register_surface(RunSurface(
-    name="repro.workload.surface.measure_window_point",
-    param_names=(
-        "dims",
-        "chip_cols",
-        "chip_rows",
-        "pattern",
-        "routing",
-        "window",
-        "machine_seed",
-        "workload_seed",
-        "read_fraction",
-        "think_ns",
-        "warmup_ns",
-        "measure_ns",
-        "drain_ns",
-        "hotspot_fraction",
-    ),
-    description="One closed-loop fixed-outstanding-window point",
-))
-
-PHASE_LOOP_SURFACE = register_surface(RunSurface(
-    name="repro.workload.surface.measure_phase_loop",
-    param_names=(
-        "dims",
-        "chip_cols",
-        "chip_rows",
-        "pattern",
-        "routing",
-        "messages_per_node",
-        "window",
-        "iterations",
-        "fence_hops",
-        "machine_seed",
-        "workload_seed",
-        "read_fraction",
-        "hotspot_fraction",
-    ),
-    description="One fence-synchronized phase workload",
-))
-
-FAULT_LOAD_POINT_SURFACE = register_surface(RunSurface(
-    name="repro.faults.surface.measure_fault_load_point",
-    param_names=(
-        "dims",
-        "chip_cols",
-        "chip_rows",
-        "pattern",
-        "routing",
-        "offered_load",
-        "num_faults",
-        "fault_seed",
-        "fault_kind",
-        "machine_seed",
-        "traffic_seed",
-        "process",
-        "warmup_ns",
-        "measure_ns",
-        "drain_ns",
-        "hotspot_fraction",
-    ),
-    description="One open-loop load point on a fault-degraded machine",
-))
-
-FAULT_PHASE_LOOP_SURFACE = register_surface(RunSurface(
-    name="repro.faults.surface.measure_fault_phase_loop",
-    param_names=(
-        "dims",
-        "chip_cols",
-        "chip_rows",
-        "pattern",
-        "routing",
-        "messages_per_node",
-        "window",
-        "iterations",
-        "fence_hops",
-        "num_faults",
-        "fault_seed",
-        "machine_seed",
-        "workload_seed",
-    ),
-    description="One fenced phase workload on a fault-degraded machine",
-))
-
 
 # ---------------------------------------------------------------------------
 # Figure 5: one-way latency vs hop count on the 128-node machine.
@@ -216,7 +51,7 @@ register(
         smoke_grid=FIG5_SMOKE_GRID,
         description="One-way end-to-end latency vs inter-node hops (Figure 5)",
         version=2,  # v2: results gained per-hop percentile summaries
-        surface=LATENCY_CURVE_SURFACE,
+        surface="repro.netsim.surface.measure_latency_curve",
     )
 )
 
@@ -235,7 +70,7 @@ register(
             }
         ),
         description="Best-placement minimum single-hop latency (~55 ns)",
-        surface=MIN_ONE_HOP_SURFACE,
+        surface="repro.netsim.surface.measure_min_one_hop",
     )
 )
 
@@ -261,7 +96,7 @@ register(
         grid=FIG11_GRID,
         smoke_grid=FIG11_SMOKE_GRID,
         description="Network-fence barrier latency vs hop count (Figure 11)",
-        surface=FENCE_CURVE_SURFACE,
+        surface="repro.fence.surface.measure_fence_curve",
     )
 )
 
@@ -281,12 +116,13 @@ register(
         grid=FIG9_GRID,
         smoke_grid=FIG9_SMOKE_GRID,
         description="Water-box traffic reduction and speedup (Figures 9a/9b)",
-        surface=WATER_SYSTEM_SURFACE,
+        surface="repro.fullsim.surface.evaluate_water_system",
     )
 )
 
 # ---------------------------------------------------------------------------
-# Synthetic-traffic load sweeps: latency vs offered load per pattern.
+# Synthetic-traffic load sweeps: latency vs offered load per pattern, at
+# the paper's randomized-minimal routing (``route_ablation`` sweeps).
 # ---------------------------------------------------------------------------
 
 #: Offered load as a fraction of per-slice channel capacity; the top of
@@ -319,6 +155,7 @@ def _load_sweep_grid(pattern: str) -> ParameterGrid:
             "chip_cols": 6,
             "chip_rows": 6,
             "pattern": pattern,
+            "routing": "randomized-minimal",
             "offered_load": list(LOAD_SWEEP_LOADS),
             "machine_seed": 7,
             "traffic_seed": 11,
@@ -328,37 +165,9 @@ def _load_sweep_grid(pattern: str) -> ParameterGrid:
     )
 
 
-LOAD_SWEEP_SMOKE_GRID = ParameterGrid(
-    {
-        "dims": [(2, 1, 1)],
-        "chip_cols": 6,
-        "chip_rows": 6,
-        "pattern": "uniform",
-        "offered_load": [0.05, 0.2, 0.4],
-        "machine_seed": 7,
-        "traffic_seed": 11,
-        "warmup_ns": 200.0,
-        "measure_ns": 600.0,
-    }
-)
-
-register(
-    Experiment(
-        name="load_sweep",
-        grid=_load_sweep_grid("uniform"),
-        smoke_grid=LOAD_SWEEP_SMOKE_GRID,
-        description="Open-loop synthetic-traffic load point "
-        "(latency vs offered load)",
-        # v3: adaptive-escape routing + the six-VC link map (escape /
-        # response / adaptive split).
-        version=3,
-        surface=LOAD_POINT_SURFACE,
-    )
-)
-
 LOAD_SWEEPS = {
     f"load-sweep-{pattern}": Sweep(
-        "load_sweep", _load_sweep_grid(pattern), label=f"load-sweep-{pattern}"
+        "route_ablation", _load_sweep_grid(pattern), label=f"load-sweep-{pattern}"
     )
     for pattern in LOAD_SWEEP_PATTERNS
 }
@@ -430,7 +239,7 @@ register(
         description="Open-loop load point under a chosen routing policy "
         "(routing ablations)",
         version=2,  # v2: adaptive-escape routing + the six-VC link map
-        surface=LOAD_POINT_SURFACE,
+        surface="repro.traffic.surface.measure_load_point",
     )
 )
 
@@ -495,7 +304,7 @@ register(
         description="Closed-loop fixed-outstanding-window point "
         "(throughput/latency vs window)",
         version=2,  # v2: adaptive-escape routing + the six-VC link map
-        surface=WINDOW_POINT_SURFACE,
+        surface="repro.workload.surface.measure_window_point",
     )
 )
 
@@ -560,7 +369,7 @@ register(
         description="Fence-synchronized phase workload "
         "(MD-timestep iteration time per routing policy)",
         version=2,  # v2: adaptive-escape routing + the six-VC link map
-        surface=PHASE_LOOP_SURFACE,
+        surface="repro.workload.surface.measure_phase_loop",
     )
 )
 
@@ -643,7 +452,7 @@ register(
         smoke_grid=FAULT_SWEEP_SMOKE_GRID,
         description="Open-loop accepted load vs dead-cable count "
         "(degraded-mode resilience per routing policy)",
-        surface=FAULT_LOAD_POINT_SURFACE,
+        surface="repro.faults.surface.measure_fault_load_point",
     )
 )
 
@@ -700,7 +509,7 @@ register(
         smoke_grid=FAULT_PHASE_LOOP_SMOKE_GRID,
         description="Fenced phase-loop iteration time vs dead-cable count "
         "(degraded-mode iteration-time growth per routing policy)",
-        surface=FAULT_PHASE_LOOP_SURFACE,
+        surface="repro.faults.surface.measure_fault_phase_loop",
     )
 )
 

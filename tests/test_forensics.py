@@ -338,7 +338,7 @@ HOTSPOT_PARAMS = {
 @pytest.fixture(scope="module")
 def hotspot_diagnosis(tmp_path_factory):
     directory = tmp_path_factory.mktemp("hotspot") / "observe"
-    sweep = Sweep("load_sweep", ParameterGrid(HOTSPOT_PARAMS),
+    sweep = Sweep("route_ablation", ParameterGrid(HOTSPOT_PARAMS),
                   label="forensics-hotspot")
     run_sweep(sweep, observe=ObserveConfig(metrics=True, trace=True),
               artifact_dir=directory)
@@ -399,7 +399,7 @@ class TestDiagnosisDeterminism:
             "machine_seed": 7, "traffic_seed": 11,
             "warmup_ns": 200.0, "measure_ns": 600.0,
         })
-        sweep = Sweep("load_sweep", grid, label="forensics-smoke")
+        sweep = Sweep("route_ablation", grid, label="forensics-smoke")
         observe = ObserveConfig(metrics=True, trace=True, period_ns=50.0)
         digests = None
         for jobs in (1, 4):

@@ -39,6 +39,24 @@ TINY_GRID = ParameterGrid(
 TINY_SWEEP = Sweep("fig5_latency", TINY_GRID, label="tiny")
 
 
+def assert_jobs_invariant(sweep, tmp_path, jobs=2):
+    """Run ``sweep`` serially and in parallel, each on its own cold cache.
+
+    Both executions must produce byte-identical records; a rerun on the
+    parallel cache must then be served entirely from it, unchanged.
+    Returns the serial result.
+    """
+    serial = run_sweep(sweep, jobs=1, cache=ResultCache(tmp_path / "serial"))
+    parallel_cache = ResultCache(tmp_path / "parallel")
+    parallel = run_sweep(sweep, jobs=jobs, cache=parallel_cache)
+    assert serial.cache_misses == parallel.cache_misses == len(serial.runs)
+    assert canonical_json(serial.record()) == canonical_json(parallel.record())
+    rerun = run_sweep(sweep, jobs=jobs, cache=parallel_cache)
+    assert rerun.cache_hits == len(rerun.runs)
+    assert canonical_json(rerun.record()) == canonical_json(parallel.record())
+    return serial
+
+
 # ---------------------------------------------------------------------------
 # Grid expansion.
 # ---------------------------------------------------------------------------
@@ -191,6 +209,14 @@ class TestRegistry:
         with pytest.raises(KeyError, match="fig5_latency"):
             get_experiment("nope")
 
+    def test_duplicate_registration_rejected(self):
+        from repro.runner import register
+
+        existing = get_experiment("fig11_fence")
+        with pytest.raises(ValueError, match="already registered"):
+            register(existing)
+        assert register(existing, replace=True) is existing
+
     def test_run_experiment_inline(self):
         result = run_experiment(
             "fig11_fence",
@@ -210,9 +236,7 @@ class TestRunSweep:
         assert [r.result for r in second.runs] == [r.result for r in first.runs]
 
     def test_jobs_1_and_jobs_4_are_byte_identical(self, tmp_path):
-        serial = run_sweep(TINY_SWEEP, jobs=1, cache=ResultCache(tmp_path / "s"))
-        parallel = run_sweep(TINY_SWEEP, jobs=4, cache=ResultCache(tmp_path / "p"))
-        assert canonical_json(serial.record()) == canonical_json(parallel.record())
+        assert_jobs_invariant(TINY_SWEEP, tmp_path, jobs=4)
 
     def test_uncached_execution(self):
         sweep = Sweep(
@@ -252,12 +276,13 @@ class TestRunSweep:
 
     def test_custom_registered_experiment(self, tmp_path):
         # Registration is additive.  With jobs > 1 the experiment is
-        # pickled into the task, so fn must then be module-level.
+        # pickled into the task, so a callable surface must then be
+        # module-level.
         from repro.runner import register
 
         experiment = Experiment(
             name="test_echo",
-            fn=lambda **params: {"echo": params},
+            surface=lambda **params: {"echo": params},
             grid=ParameterGrid({"x": [1, 2]}),
         )
         try:
@@ -413,14 +438,8 @@ class TestRouteAblation:
 
         sweep = Sweep("route_ablation", ROUTE_ABLATION_SMOKE_GRID,
                       label="ablation-smoke")
-        cache = ResultCache(tmp_path)
-        serial = run_sweep(sweep, jobs=1, cache=cache)
-        assert serial.cache_misses == len(ROUTE_ABLATION_SMOKE_GRID)
-        parallel = run_sweep(sweep, jobs=2, cache=cache)
-        assert parallel.cache_hits == len(ROUTE_ABLATION_SMOKE_GRID)
-        assert json.dumps([r.record() for r in serial.runs]) == json.dumps(
-            [r.record() for r in parallel.runs]
-        )
+        serial = assert_jobs_invariant(sweep, tmp_path)
+        assert len(serial.runs) == len(ROUTE_ABLATION_SMOKE_GRID)
         routings = {r.record()["result"]["routing"] for r in serial.runs}
         assert routings == {"randomized-minimal", "valiant",
                             "adaptive-escape"}
@@ -429,7 +448,8 @@ class TestRouteAblation:
 class TestSetValidation:
     def test_unknown_set_key_rejected(self, capsys):
         code = main(
-            ["run", "load_sweep", "--set", "offered_loud=0.2", "--no-cache"]
+            ["run", "route_ablation", "--set", "offered_loud=0.2",
+             "--no-cache"]
         )
         assert code == 2
         err = capsys.readouterr().err
@@ -441,7 +461,7 @@ class TestSetValidation:
 
     def test_experiments_without_declared_params_skip_validation(self):
         experiment = Experiment(
-            name="anything", fn=lambda **kw: {}, grid=ParameterGrid({})
+            name="anything", surface=lambda **kw: {}, grid=ParameterGrid({})
         )
         experiment.validate_params({"whatever": 1})
 
@@ -572,10 +592,8 @@ class TestExperimentCatalog:
         # every declared dotted path actually imports, so the committed
         # docs can never point readers at a nonexistent function.
         for experiment in list_experiments():
-            if not experiment.surface:
-                continue
-            assert callable(experiment.surface.resolve()), \
-                experiment.surface_name
+            assert isinstance(experiment.surface, str), experiment.name
+            assert callable(experiment.resolve()), experiment.surface
 
     def test_catalog_marks_union_grid_swept_axes(self):
         # The route-ablation union grids sweep pattern/dims across their
@@ -618,64 +636,66 @@ class TestExperimentCatalog:
 
 
 # ---------------------------------------------------------------------------
-# Run surfaces: the registry and the Experiment fallback.
+# Run surfaces: one dotted path per experiment, parameters from the
+# signature.
 # ---------------------------------------------------------------------------
 
 
 class TestRunSurfaces:
     def test_builtin_surfaces_registered_and_resolvable(self):
-        from repro.runner import get_surface, list_surfaces
-
-        names = [surface.name for surface in list_surfaces()]
-        assert names == sorted(names)
-        assert "repro.traffic.surface.measure_load_point" in names
-        assert "repro.faults.surface.measure_fault_load_point" in names
-        surface = get_surface("repro.traffic.surface.measure_load_point")
-        assert callable(surface.resolve())
-        assert str(surface) == surface.name
-
-    def test_unknown_surface_lists_known(self):
-        from repro.runner import get_surface
-
-        with pytest.raises(KeyError, match="measure_load_point"):
-            get_surface("nope.nothing")
+        surfaces = [experiment.surface for experiment in list_experiments()]
+        # Each built-in experiment names its own surface.
+        assert len(surfaces) == len(set(surfaces))
+        assert "repro.traffic.surface.measure_load_point" in surfaces
+        assert "repro.faults.surface.measure_fault_load_point" in surfaces
+        for experiment in list_experiments():
+            assert callable(experiment.resolve()), experiment.surface
 
     def test_surface_rejects_undeclared_params(self):
-        from repro.runner import get_surface
-
-        surface = get_surface("repro.fence.surface.measure_fence_curve")
+        experiment = get_experiment("fig11_fence")
         with pytest.raises(ValueError, match="max_hopss"):
-            surface({"max_hopss": 2})
+            experiment.run({"max_hopss": 2})
 
     def test_surface_call_runs_the_function(self):
-        from repro.runner import get_surface
-
-        surface = get_surface("repro.fence.surface.measure_fence_curve")
-        result = surface({"dims": (2, 2, 2), "chip_cols": 6, "chip_rows": 6,
-                          "max_hops": 0})
+        experiment = get_experiment("fig11_fence")
+        result = experiment.run({"dims": (2, 2, 2), "chip_cols": 6,
+                                 "chip_rows": 6, "max_hops": 0})
         assert result["num_nodes"] == 8
 
     def test_experiment_inherits_surface_param_names(self):
-        experiment = get_experiment("load_sweep")
-        assert experiment.fn is None
-        assert "offered_load" in experiment.param_names
-        assert experiment.surface_name == \
+        import inspect
+
+        from repro.traffic.surface import measure_load_point
+
+        experiment = get_experiment("route_ablation")
+        assert experiment.surface == \
             "repro.traffic.surface.measure_load_point"
+        assert experiment.resolve() is measure_load_point
+        assert experiment.param_names == tuple(
+            inspect.signature(measure_load_point).parameters)
 
-    def test_experiment_requires_fn_or_callable_surface(self):
-        with pytest.raises(TypeError, match="fn= or a callable"):
-            Experiment(name="bare", grid=ParameterGrid({}),
-                       surface="dotted.path.only")
+    def test_experiment_requires_surface_and_grid(self):
+        with pytest.raises(TypeError, match="surface"):
+            Experiment(name="bare", grid=ParameterGrid({}))
         with pytest.raises(TypeError, match="grid"):
-            Experiment(name="gridless", fn=lambda **kw: {})
+            Experiment(name="gridless", surface=lambda **kw: {})
 
-    def test_duplicate_surface_registration_rejected(self):
-        from repro.runner import RunSurface, get_surface, register_surface
+    def test_every_builtin_grid_point_is_a_valid_parameter_set(self):
+        # A mistyped grid key fails here, not inside a worker.
+        from repro.runner.experiments import BUILTIN_SWEEPS
 
-        existing = get_surface("repro.fence.surface.measure_fence_curve")
-        with pytest.raises(ValueError, match="already registered"):
-            register_surface(RunSurface(existing.name, ("x",)))
-        assert register_surface(existing, replace=True) is existing
+        checked = 0
+        for experiment in list_experiments():
+            for grid in (experiment.grid, experiment.smoke_grid):
+                for params in grid or ():
+                    experiment.validate_params(params)
+                    checked += 1
+        for sweep in BUILTIN_SWEEPS.values():
+            experiment = get_experiment(sweep.experiment)
+            for params in sweep.grid:
+                experiment.validate_params(params)
+                checked += 1
+        assert checked > 400
 
 
 # ---------------------------------------------------------------------------
@@ -715,25 +735,21 @@ class TestFaultSweeps:
 
         sweep = Sweep("fault_sweep", FAULT_SWEEP_SMOKE_GRID,
                       label="fault-smoke")
-        cache = ResultCache(tmp_path)
-        serial = run_sweep(sweep, jobs=1, cache=cache)
-        assert serial.cache_misses == len(FAULT_SWEEP_SMOKE_GRID)
-        parallel = run_sweep(sweep, jobs=2, cache=cache)
-        assert parallel.cache_hits == len(FAULT_SWEEP_SMOKE_GRID)
-        assert json.dumps([r.record() for r in serial.runs]) == json.dumps(
-            [r.record() for r in parallel.runs]
-        )
+        serial = assert_jobs_invariant(sweep, tmp_path)
+        assert len(serial.runs) == len(FAULT_SWEEP_SMOKE_GRID)
         for run in serial.runs:
             faults = run.result["faults"]
             assert len(faults) == run.params["num_faults"]
-            assert run.result["accepted_load"] > 0
+            # Traffic still flows around the dead cables: at 0.3 offered
+            # every point accepts nearly all of it.
+            assert run.result["accepted_load"] > 0.2
 
     def test_fault_phase_loop_smoke_grid_runs(self, tmp_path):
         from repro.runner.experiments import FAULT_PHASE_LOOP_SMOKE_GRID
 
         sweep = Sweep("fault_phase_loop", FAULT_PHASE_LOOP_SMOKE_GRID,
                       label="fault-phase-smoke")
-        result = run_sweep(sweep, jobs=2, cache=ResultCache(tmp_path))
+        result = assert_jobs_invariant(sweep, tmp_path)
         for run in result.runs:
             assert run.result["mean_iteration_ns"] > 0
             assert len(run.result["faults"]) == run.params["num_faults"]
@@ -872,18 +888,16 @@ class TestClosedLoopSweeps:
             PHASE_LOOP_SMOKE_GRID,
         )
 
-        cache = ResultCache(tmp_path)
         window_sweep = Sweep("closed_loop", CLOSED_LOOP_SMOKE_GRID,
                              label="closed-smoke")
-        serial = run_sweep(window_sweep, jobs=1, cache=cache)
-        parallel = run_sweep(window_sweep, jobs=2, cache=cache)
-        assert parallel.cache_hits == len(CLOSED_LOOP_SMOKE_GRID)
-        assert json.dumps([r.record() for r in serial.runs]) == json.dumps(
-            [r.record() for r in parallel.runs]
-        )
-        phase_sweep = Sweep("phase_loop", PHASE_LOOP_SMOKE_GRID,
-                            label="phase-smoke")
-        result = run_sweep(phase_sweep, jobs=2, cache=cache)
+        serial = assert_jobs_invariant(window_sweep, tmp_path / "window")
+        assert len(serial.runs) == len(CLOSED_LOOP_SMOKE_GRID)
+        # Two routing policies, so the parallel side really fans out.
+        (axes,) = PHASE_LOOP_SMOKE_GRID.subgrids()
+        phase_grid = ParameterGrid(
+            dict(axes, routing=["randomized-minimal", "adaptive-escape"]))
+        phase_sweep = Sweep("phase_loop", phase_grid, label="phase-smoke")
+        result = assert_jobs_invariant(phase_sweep, tmp_path / "phase")
         record = result.runs[0].record()["result"]
         assert record["mean_iteration_ns"] > 0
         assert 0 < record["mean_fence_wait_fraction"] < 1
