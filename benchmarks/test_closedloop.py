@@ -1,4 +1,4 @@
-"""Closed-loop workloads: self-throttling, fences, and determinism.
+"""Closed-loop workloads: self-throttling and fences.
 
 The acceptance pins of the closed-loop subsystem (`repro.workload`):
 
@@ -12,11 +12,10 @@ The acceptance pins of the closed-loop subsystem (`repro.workload`):
   MD-shaped iteration (export burst, fence, return burst, fence)
   measurably faster than fixed-xyz, whose one-directional ring traffic
   congests; the closed-loop restatement of the routing-ablation result.
-* **Determinism** — ``closed-loop-*`` grids are byte-identical under
-  ``--jobs 1`` and ``--jobs 4``.
-"""
 
-import json
+Byte identity of the ``closed_loop`` smoke grid under ``--jobs 1`` and
+a worker pool is pinned by ``tests/test_runner.py::TestClosedLoopSweeps``.
+"""
 
 import pytest
 
@@ -25,7 +24,7 @@ from repro.analysis import (
     analyze_window_sweep,
     closed_vs_open_table,
 )
-from repro.runner import ParameterGrid, ResultCache, Sweep, run_sweep
+from repro.runner import ParameterGrid, Sweep, run_sweep
 
 UNIFORM_DIMS = (2, 2, 2)
 RING_DIMS = (8, 1, 1)
@@ -155,18 +154,3 @@ def test_phase_records_account_for_the_iteration(tornado_phase_valiant):
     total = sum(p["burst_ns"] + p["fence_ns"] for p in iteration["phases"])
     assert total == pytest.approx(iteration["iteration_ns"], rel=1e-6)
     assert 0 < iteration["fence_wait_fraction"] < 1
-
-
-def test_closed_loop_sweep_byte_identical_serial_vs_parallel(tmp_path):
-    """(c) ``closed-loop-*`` grids produce byte-identical records under
-    --jobs 1 and --jobs 4, from cold caches."""
-    from repro.runner.experiments import CLOSED_LOOP_SMOKE_GRID
-
-    sweep = Sweep("closed_loop", CLOSED_LOOP_SMOKE_GRID, label="determinism")
-    serial = run_sweep(sweep, jobs=1, cache=ResultCache(tmp_path / "serial"))
-    parallel = run_sweep(sweep, jobs=4, cache=ResultCache(tmp_path / "par"))
-    serial_blob = json.dumps([r.record() for r in serial.runs], sort_keys=True)
-    parallel_blob = json.dumps(
-        [r.record() for r in parallel.runs], sort_keys=True
-    )
-    assert serial_blob == parallel_blob

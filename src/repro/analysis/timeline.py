@@ -1,6 +1,6 @@
 """ASCII timelines over observability metrics artifacts.
 
-``repro-runner report --timeline METRIC`` renders one sliced metric of
+``repro-runner timeline METRIC`` renders one sliced metric of
 a ``<digest>.metrics.json`` artifact (:mod:`repro.observe.artifacts`)
 as an ASCII chart: slice midpoints on the x axis, per-slice values on
 the y axis, one series per machine the run built.  Slice gauges plot
@@ -8,7 +8,7 @@ their time-weighted means; slice counters plot per-slice event counts.
 
 ``--by vc`` expands a metric family across virtual channels: metric
 names like ``link/<name>/vc<k>/occupancy`` share the family
-``link/<name>/occupancy``, and ``--timeline link/<name>/occupancy --by
+``link/<name>/occupancy``, and ``timeline link/<name>/occupancy --by
 vc`` charts one series per channel (``vc0``, ``vc1``, ...) instead of
 requiring one invocation per channel.
 

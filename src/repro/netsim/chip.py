@@ -14,8 +14,8 @@ with counted-write counters and a blocking-read port (Section III-A).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, Optional, Tuple
 
 from ..engine.simulator import Simulator
 from ..routing.policy import next_request_direction, note_hop
@@ -47,7 +47,6 @@ class GcEndpoint:
     address: CoreAddress
     sram: QuadSram
     read_port: BlockingReadPort
-    delivered: List[Packet] = field(default_factory=list)
 
 
 class ChipNetwork(CoreNetworkHost):
@@ -79,14 +78,12 @@ class ChipNetwork(CoreNetworkHost):
         # Per-traffic-class accounting and the delivery hook used by the
         # open-loop traffic harness (repro.traffic): counts are bumped at
         # injection (send) and final SRAM commit; the hook fires on every
-        # commit.  ``record_delivered`` can be cleared for long open-loop
-        # runs so per-GC delivered lists do not grow without bound.
+        # commit.
         self.injected_counts: Dict[TrafficClass, int] = {
             tc: 0 for tc in TrafficClass}
         self.delivered_counts: Dict[TrafficClass, int] = {
             tc: 0 for tc in TrafficClass}
         self.delivery_hook: Optional[Callable[[Packet], None]] = None
-        self.record_delivered = True
         # Installed by the machine only when faults are scheduled; while
         # None (the healthy case) routing takes the exact original paths.
         self.fault_adviser = None
@@ -177,8 +174,6 @@ class ChipNetwork(CoreNetworkHost):
             endpoint = self.gc(packet.dst_core)
             packet.delivered_ns = self._sim.now
             self.delivered_counts[packet.traffic_class] += 1
-            if self.record_delivered:
-                endpoint.delivered.append(packet)
             if packet.kind in (PacketKind.COUNTED_WRITE, PacketKind.POSITION,
                                PacketKind.FORCE):
                 words = list(packet.payload_words) or [0, 0, 0, 0]

@@ -37,7 +37,6 @@ class MachineConfig:
     chip_rows: int = 12
     seed: int = 0
     routing: object = DEFAULT_POLICY  # policy name (or a built policy)
-    record_delivered: bool = True
     faults: Optional[FaultSchedule] = field(default=None)
     # Observability (repro.observe).  ``None`` means "defer to the
     # ambient context": a machine built inside an observed runner task

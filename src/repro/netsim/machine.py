@@ -89,8 +89,6 @@ class NetworkMachine:
                 chip.fault_adviser = self.fault_adviser
             self.fault_injector = FaultInjector(self, config.faults)
             self.fault_injector.apply()
-        if not config.record_delivered:
-            self.set_record_delivered(False)
 
     def _wire_channels(self) -> None:
         params = self.params
@@ -163,11 +161,6 @@ class NetworkMachine:
         for chip in self.chips.values():
             chip.delivery_hook = hook
 
-    def set_record_delivered(self, record: bool) -> None:
-        """Toggle per-GC delivered-packet retention (off for open loop)."""
-        for chip in self.chips.values():
-            chip.record_delivered = record
-
     def injected_counts(self) -> Dict[TrafficClass, int]:
         """Machine-wide injected packets per traffic class."""
         totals = {tc: 0 for tc in TrafficClass}
@@ -219,18 +212,24 @@ class NetworkMachine:
                      num_flits: int = 1,
                      accumulate: bool = False,
                      dim_order: Optional[Tuple[int, int, int]] = None,
-                     slice_index: Optional[int] = None) -> Packet:
+                     slice_index: Optional[int] = None,
+                     rng: Optional[random.Random] = None) -> Packet:
         """Build a request packet routed by the machine's policy, with a
         random channel slice (oblivious load balance, Section III-B2).
         ``dim_order`` pins a fixed single-phase minimal route (bypassing
-        the policy) and ``slice_index`` pins the slice, for experiments."""
+        the policy) and ``slice_index`` pins the slice, for experiments.
+        The plan and then the slice are drawn from ``rng`` (default: the
+        machine's own stream); traffic harnesses pass a per-source
+        stream so sweeps stay deterministic across processes."""
+        if rng is None:
+            rng = self.rng
         plan: Optional[RoutePlan] = None
         if dim_order is None:
-            plan = self.plan_request_route(src_node, dst_node, self.rng,
+            plan = self.plan_request_route(src_node, dst_node, rng,
                                            src_core=src_core)
             dim_order = plan.phases[0].dim_order
         if slice_index is None:
-            slice_index = self.rng.randrange(2)
+            slice_index = rng.randrange(2)
         packet = Packet(kind=kind, traffic_class=TrafficClass.REQUEST,
                         src_node=self.torus.normalize(src_node),
                         dst_node=self.torus.normalize(dst_node),

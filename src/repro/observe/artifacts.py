@@ -29,18 +29,11 @@ __all__ = [
     "list_artifacts",
     "load_artifact",
     "observe_dir",
-    "write_artifact",
     "write_run_artifacts",
 ]
 
-#: The artifact layers a run can produce, in file-naming order.  A run
-#: records ``metrics``/``trace``; ``diagnosis`` is derived from them
-#: post hoc by ``repro-runner diagnose`` (repro.analysis.forensics) and
-#: stored beside them under the same digest.
-LAYERS = ("metrics", "trace", "diagnosis")
-
-#: The layers an observed run itself collects (``diagnosis`` is derived).
-RUN_LAYERS = ("metrics", "trace")
+#: The artifact layers an observed run collects, in file-naming order.
+LAYERS = ("metrics", "trace")
 
 
 def _canonical_dump(payload: object) -> str:
@@ -65,41 +58,32 @@ def write_run_artifacts(directory: Path, digest: str,
     """Write one run's collected artifacts; returns the paths written.
 
     ``artifacts`` is the :func:`repro.observe.context.collect` mapping:
-    layer name to the list of per-machine payloads.  Writes are atomic
-    (tmp + rename) like cache entries, so a crashed run never leaves a
-    half-written artifact for the determinism tests to trip over.
+    layer name to the list of per-machine payloads.  Each layer is
+    written with canonical JSON, so equal payloads are byte-equal files,
+    and atomically (tmp + rename) like cache entries, so a crashed run
+    never leaves a half-written artifact for the determinism tests to
+    trip over.
     """
+    directory = Path(directory)
     written: List[Path] = []
-    for layer in RUN_LAYERS:
+    for layer in LAYERS:
         machines = artifacts.get(layer)
         if not machines:
             continue
-        written.append(write_artifact(directory, digest, layer, machines))
+        directory.mkdir(parents=True, exist_ok=True)
+        payload = {"digest": digest, "layer": layer, "machines": machines}
+        path = artifact_path(directory, digest, layer)
+        fd, tmp_name = tempfile.mkstemp(dir=directory, suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8") as handle:
+                handle.write(_canonical_dump(payload))
+            os.replace(tmp_name, path)
+        except BaseException:
+            if os.path.exists(tmp_name):
+                os.unlink(tmp_name)
+            raise
+        written.append(path)
     return written
-
-
-def write_artifact(directory: Path, digest: str, layer: str,
-                   machines: list) -> Path:
-    """Write one artifact layer canonically and atomically; returns its path.
-
-    The single-layer primitive behind :func:`write_run_artifacts`, also
-    used by ``repro-runner diagnose`` to store derived diagnosis
-    artifacts: canonical JSON in, so equal payloads are byte-equal files.
-    """
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    payload = {"digest": digest, "layer": layer, "machines": machines}
-    path = artifact_path(directory, digest, layer)
-    fd, tmp_name = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            handle.write(_canonical_dump(payload))
-        os.replace(tmp_name, path)
-    except BaseException:
-        if os.path.exists(tmp_name):
-            os.unlink(tmp_name)
-        raise
-    return path
 
 
 def load_artifact(path: Path) -> Dict[str, object]:

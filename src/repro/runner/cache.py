@@ -186,9 +186,6 @@ class ResultCache:
 
         return observe_dir(self.root).glob("*.json")
 
-    def _live_digests(self) -> set:
-        return {path.stem for path in self._entry_paths()}
-
     def observe_stats(self) -> Dict[str, int]:
         """Artifact counts/bytes under ``observe/``, live vs orphaned.
 
@@ -196,7 +193,7 @@ class ResultCache:
         cache entry (the run was pruned or the cache cleared): nothing
         can resolve it by digest anymore, so ``prune`` reclaims it.
         """
-        live = self._live_digests()
+        live = {path.stem for path in self._entry_paths()}
         artifacts = size = orphaned = orphaned_size = 0
         for path in sorted(self._artifact_paths()):
             bytes_ = path.stat().st_size
@@ -237,7 +234,9 @@ class ResultCache:
                          if path.is_file()),
         }
 
-    def prune(self, registered: Mapping[str, int]) -> Dict[str, int]:
+    def prune(
+        self, registered: Mapping[str, int], dry_run: bool = False
+    ) -> Dict[str, int]:
         """Delete entries whose ``(experiment, version)`` is not registered.
 
         ``registered`` maps experiment names to their current version;
@@ -245,41 +244,41 @@ class ResultCache:
         that version — anything else (renamed experiments, stale
         versions after a semantics bump, corrupt files) can never be
         served again and is removed.  Observability artifacts whose
-        digest has no surviving entry are swept with them.  Returns
+        digest has no surviving entry are swept with them.  The plan is
+        computed before anything is deleted, so ``dry_run=True`` reports
+        exactly what a real prune removes, and deletes nothing.  Returns
         ``{"removed", "kept", "freed_bytes", "artifacts_removed",
         "artifacts_freed_bytes"}``.
         """
-        removed = kept = freed = 0
+        stale, live, kept = [], set(), 0
         for path in sorted(self._entry_paths()):
-            size = path.stat().st_size
             try:
                 entry = json.loads(path.read_text(encoding="utf-8"))
                 experiment = str(entry["experiment"])
-                version = int(entry.get("version", 1))
-                stale = registered.get(experiment) != version
+                keep = registered.get(experiment) == int(entry.get("version", 1))
             except (OSError, ValueError, TypeError, KeyError):
-                stale = True
-            if stale:
-                path.unlink()
-                removed += 1
-                freed += size
-            else:
+                keep = False
+            if keep:
+                live.add(path.stem)
                 kept += 1
-        live = self._live_digests()
-        artifacts_removed = artifacts_freed = 0
-        for path in sorted(self._artifact_paths()):
-            if path.name.split(".")[0] in live:
-                continue
-            artifacts_freed += path.stat().st_size
-            path.unlink()
-            artifacts_removed += 1
-        return {
-            "removed": removed,
+            else:
+                stale.append(path)
+        orphans = [
+            path
+            for path in sorted(self._artifact_paths())
+            if path.name.split(".")[0] not in live
+        ]
+        outcome = {
+            "removed": len(stale),
             "kept": kept,
-            "freed_bytes": freed,
-            "artifacts_removed": artifacts_removed,
-            "artifacts_freed_bytes": artifacts_freed,
+            "freed_bytes": sum(path.stat().st_size for path in stale),
+            "artifacts_removed": len(orphans),
+            "artifacts_freed_bytes": sum(path.stat().st_size for path in orphans),
         }
+        if not dry_run:
+            for path in stale + orphans:
+                path.unlink()
+        return outcome
 
     def __len__(self) -> int:
         return sum(1 for _ in self._entry_paths())

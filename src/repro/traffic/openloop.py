@@ -166,21 +166,10 @@ class OpenLoopHarness:
         # Route choice is delegated to the machine's routing policy; the
         # draws come from this source's pick stream so sweeps stay
         # deterministic across processes.
-        plan = machine.plan_request_route(node, dst, rng, src_core=src_core)
-        packet = Packet(
-            kind=kind,
-            traffic_class=TrafficClass.REQUEST,
-            src_node=node,
-            dst_node=machine.torus.normalize(dst),
-            src_core=src_core,
-            dst_core=dst_core,
-            num_flits=1,
+        packet = machine.make_request(
+            kind, node, src_core, dst, dst_core,
             payload_words=(1,) if is_read else (1, 0, 0, 0),
-            dim_order=plan.phases[0].dim_order,
-            slice_index=rng.randrange(2),
-            quad_addr=0,
-            accumulate=self.pattern.accumulate and not is_read)
-        packet.route = plan
+            accumulate=self.pattern.accumulate and not is_read, rng=rng)
         machine.inject(packet)
         if self._in_window(machine.sim.now):
             stats = self._class_stats(TrafficClass.REQUEST)
@@ -234,7 +223,6 @@ class OpenLoopHarness:
                 f"on this torus")
         rate = offered_load_to_rate(self.offered_load, machine.params)
 
-        machine.set_record_delivered(False)
         machine.set_delivery_hook(self._on_delivered)
         try:
             for node in sources:
@@ -242,7 +230,6 @@ class OpenLoopHarness:
             sim.run(until=self._inject_end_ns + self.drain_ns)
         finally:
             machine.set_delivery_hook(None)
-            machine.set_record_delivered(True)
 
         slice_flits_per_ns = 1.0 / machine.params.flit_serialization_ns
         window_capacity = (self.measure_ns * len(sources)

@@ -192,7 +192,6 @@ class PhaseLoopHarness:
             elif driver.outstanding[node] == 0:
                 finish_ns[node] = sim.now
 
-        machine.set_record_delivered(False)
         machine.set_delivery_hook(on_delivered)
         try:
             for node in driver.sources:
@@ -201,7 +200,6 @@ class PhaseLoopHarness:
             sim.run_until_idle()
         finally:
             machine.set_delivery_hook(None)
-            machine.set_record_delivered(True)
         if len(finish_ns) != len(driver.sources):
             raise RuntimeError(
                 f"phase {phase.name!r}: {len(finish_ns)} of "

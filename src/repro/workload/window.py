@@ -125,21 +125,9 @@ class ClosedLoopDriver:
         else:
             kind = PacketKind.COUNTED_WRITE
             payload = (1, 0, 0, 0)
-        plan = machine.plan_request_route(node, dst, rng, src_core=src_core)
-        packet = Packet(
-            kind=kind,
-            traffic_class=TrafficClass.REQUEST,
-            src_node=node,
-            dst_node=machine.torus.normalize(dst),
-            src_core=src_core,
-            dst_core=dst_core,
-            num_flits=1,
-            payload_words=payload,
-            dim_order=plan.phases[0].dim_order,
-            slice_index=rng.randrange(2),
-            quad_addr=0,
-            accumulate=self.pattern.accumulate and not is_read)
-        packet.route = plan
+        packet = machine.make_request(
+            kind, node, src_core, dst, dst_core, payload_words=payload,
+            accumulate=self.pattern.accumulate and not is_read, rng=rng)
         machine.inject(packet)
         if is_read:
             self._read_issue[(node, payload[0])] = machine.sim.now
@@ -314,7 +302,6 @@ class FixedWindowHarness:
     def run(self) -> WindowLoopResult:
         machine = self.machine
         sim = machine.sim
-        machine.set_record_delivered(False)
         machine.set_delivery_hook(self._on_delivered)
         try:
             for node in self._driver.sources:
@@ -323,7 +310,6 @@ class FixedWindowHarness:
             sim.run(until=self._inject_end_ns + self.drain_ns)
         finally:
             machine.set_delivery_hook(None)
-            machine.set_record_delivered(True)
 
         sources = self._driver.sources
         slice_flits_per_ns = 1.0 / machine.params.flit_serialization_ns

@@ -331,7 +331,3 @@ class TestMachineConfig:
         hash(config)
         with pytest.raises(AttributeError):
             config.seed = 99
-
-    def test_record_delivered_flag_respected(self):
-        machine = NetworkMachine(config=small_config(record_delivered=False))
-        assert machine.chips[(0, 0, 0)].record_delivered is False

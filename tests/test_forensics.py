@@ -4,8 +4,8 @@ Covers the pure-arithmetic analyses on hand-built payloads (per-hop
 latency decomposition, backpressure attribution with downstream stall
 charging, saturation trees, fence critical paths, topology heatmaps),
 the diagnosis schema validator, the hotspot acceptance criterion (the
-hotspot ejector is named the #1 root cause), diagnosis-artifact byte
-identity across ``--jobs`` splits, and the ``repro-runner diagnose``
+hotspot ejector is named the #1 root cause), byte identity of
+``diagnose --json`` output across ``--jobs`` splits, and the ``repro-runner diagnose``
 CLI plus its satellite surfaces (``trace export --packet``, ``ledger
 list`` filters, ``cache stats`` ledger rollup).
 """
@@ -29,7 +29,6 @@ from repro.analysis.forensics import (
 from repro.observe import ObserveConfig
 from repro.observe import context as observe_context
 from repro.observe.artifacts import (
-    artifact_path,
     find_artifact,
     list_artifacts,
     load_artifact,
@@ -385,7 +384,7 @@ class TestHotspotAcceptance:
 
 
 # ---------------------------------------------------------------------------
-# Determinism: diagnosis artifacts are byte-identical across --jobs.
+# Determinism: diagnoses are byte-identical across --jobs.
 # ---------------------------------------------------------------------------
 
 
@@ -412,15 +411,15 @@ class TestDiagnosisDeterminism:
             assert digests is None or found == digests
             digests = found
             for digest in digests:
-                assert main(["diagnose", digest, "--cache-dir",
-                             str(cache_root), "-o", str(tmp_path / "r.txt")
+                assert main(["diagnose", digest, "--json", "--cache-dir",
+                             str(cache_root), "-o",
+                             str(tmp_path / f"{digest}.jobs{jobs}.json")
                              ]) == 0
         capsys.readouterr()
         assert len(digests) == 2
         for digest in digests:
             blobs = [
-                artifact_path(observe_dir(tmp_path / f"jobs{jobs}"),
-                              digest, "diagnosis").read_bytes()
+                (tmp_path / f"{digest}.jobs{jobs}.json").read_bytes()
                 for jobs in (1, 4)
             ]
             assert blobs[0] == blobs[1]
@@ -474,29 +473,30 @@ class TestForensicsCLI:
         assert main(["diagnose", digest[:12], "--cache-dir",
                      str(tmp_path / "cache")]) == 0
         captured = capsys.readouterr()
-        assert "diagnose: wrote" in captured.err
         assert "backpressure attribution" in captured.out
         assert "per-hop latency decomposition" in captured.out
-        path = artifact_path(observe_dir(tmp_path / "cache"),
-                             digest, "diagnosis")
+        # --json -o writes the diagnosis payload where it is asked to.
+        path = tmp_path / "diagnosis.json"
+        assert main(["diagnose", digest[:12], "--json", "-o", str(path),
+                     "--cache-dir", str(tmp_path / "cache")]) == 0
+        assert f"wrote {path}" in capsys.readouterr().err
         artifact = load_artifact(path)
         assert artifact["layer"] == "diagnosis"
         for machine in artifact["machines"]:
             validate_diagnosis(machine)
-        # The artifact is listed beside metrics/trace.
-        layers = [row["layer"]
-                  for row in list_artifacts(observe_dir(tmp_path / "cache"))]
-        assert layers == ["diagnosis", "metrics", "trace"]
 
     def test_diagnose_json_no_write(self, tmp_path, capsys):
         digest = self.observed_digest(tmp_path, capsys)
-        assert main(["diagnose", digest[:12], "--json", "--no-write",
+        assert main(["diagnose", digest[:12], "--json",
                      "--cache-dir", str(tmp_path / "cache")]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["digest"] == digest
         assert payload["layer"] == "diagnosis"
-        assert not artifact_path(observe_dir(tmp_path / "cache"),
-                                 digest, "diagnosis").exists()
+        # Nothing is stored beside the run's metrics/trace artifacts.
+        layers = [row["layer"]
+                  for row in list_artifacts(observe_dir(tmp_path / "cache"))]
+        assert layers == ["metrics", "trace"]
+        assert not list(observe_dir(tmp_path / "cache").glob("*diagnosis*"))
 
     def test_diagnose_unknown_digest_fails_cleanly(self, tmp_path, capsys):
         (tmp_path / "cache").mkdir()
@@ -570,6 +570,9 @@ class TestForensicsCLI:
 
     def test_ledger_filters_rejected_outside_list(self, tmp_path, capsys):
         self.observed_digest(tmp_path, capsys)
-        assert main(["ledger", "show", "abcd", "--experiment", "phase_loop",
-                     "--cache-dir", str(tmp_path / "cache")]) == 2
-        assert "only apply to ledger list" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exit_info:
+            main(["ledger", "show", "abcd", "--experiment", "phase_loop",
+                  "--cache-dir", str(tmp_path / "cache")])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --experiment" in \
+            capsys.readouterr().err

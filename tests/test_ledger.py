@@ -5,7 +5,7 @@ appends), the determinism contract (ledger.jsonl byte-identical across
 ``--jobs`` splits; wall-clock telemetry segregated into status.jsonl),
 the metrics rollup, ledger queries (list/show/diff), the live status
 board, the orphaned-artifact sweep in ``cache prune``, per-VC timeline
-expansion (``report --timeline ... --by vc``), and the CLI surface.
+expansion (``timeline ... --by vc``), and the CLI surface.
 """
 
 import json
@@ -575,7 +575,7 @@ class TestLedgerCli:
     def test_cli_timeline_by_vc(self, tmp_path, capsys):
         path = tmp_path / "artifact.json"
         path.write_text(json.dumps(vc_artifact()), encoding="utf-8")
-        assert main(["report", "--timeline", "link/host0.out/occupancy",
+        assert main(["timeline", "link/host0.out/occupancy",
                      "--by", "vc", "--artifact", str(path)]) == 0
         chart = capsys.readouterr().out
         assert "vc0" in chart and "vc1" in chart

@@ -4,8 +4,8 @@ Covers the slice-keyed metrics primitives, the ambient observation
 context, deterministic trace sampling, the zero-perturbation contract
 (observed and unobserved runs produce identical simulated trajectories),
 jobs-invariant artifact files, schema validation, and the runner/CLI
-integration (``--observe``/``--trace``, ``trace export``, ``report
---timeline``, ``cache stats --json``).
+integration (``--observe``/``--trace``, ``trace export``,
+``timeline``, ``cache stats --json``).
 """
 
 import json
@@ -582,12 +582,12 @@ class TestObserveCLI:
         validate_chrome_trace(chrome)
         assert chrome["traceEvents"]
 
-        # report --timeline list and a concrete metric.
-        assert main(["report", "--timeline", "list", "--digest", digest[:8],
+        # timeline list and a concrete metric.
+        assert main(["timeline", "list", "--digest", digest[:8],
                      "--cache-dir", str(tmp_path / "cache")]) == 0
         listing = capsys.readouterr().out
         assert "machine/in_flight" in listing
-        assert main(["report", "--timeline", "machine/in_flight",
+        assert main(["timeline", "machine/in_flight",
                      "--digest", digest[:8],
                      "--cache-dir", str(tmp_path / "cache")]) == 0
         assert "machine/in_flight" in capsys.readouterr().out
@@ -625,7 +625,7 @@ class TestObserveCLI:
     def test_cache_json_rejected_outside_stats(self, tmp_path, capsys):
         cache = ResultCache(tmp_path / "cache")
         cache.put("phase_loop", {"a": 1}, {"x": 1.0}, 0.1, version=2)
-        code = main(["cache", "prune", "--json", "--cache-dir",
-                     str(cache.root)])
-        assert code == 2
-        assert "--json only applies to stats" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exit_info:
+            main(["cache", "prune", "--json", "--cache-dir", str(cache.root)])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --json" in capsys.readouterr().err

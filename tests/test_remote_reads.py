@@ -32,22 +32,26 @@ def do_read(machine, src_node, dst_node, quad=5, reply=9,
     target.sram.write(quad, [11, 22, 33, 44])
     requester = machine.gc(src_node, src_core)
     requester.sram.reset_counter(reply)
+    delivered = []
+    machine.set_delivery_hook(delivered.append)
     request = machine.send_remote_read(src_node, src_core, dst_node,
                                        dst_core, quad_addr=quad,
                                        reply_quad=reply)
     machine.sim.run()
-    return request, requester
+    machine.set_delivery_hook(None)
+    (response,) = [packet for packet in delivered
+                   if packet.kind is PacketKind.READ_RESPONSE]
+    return request, requester, response
 
 
 class TestRemoteRead:
     def test_read_returns_data(self, machine):
-        __, requester = do_read(machine, (0, 0, 0), (1, 1, 0))
+        __, requester, __ = do_read(machine, (0, 0, 0), (1, 1, 0))
         assert requester.sram.read(9) == [11, 22, 33, 44]
         assert requester.sram.counter(9) == 1
 
     def test_response_packet_properties(self, machine):
-        __, requester = do_read(machine, (0, 0, 0), (2, 0, 0), reply=10)
-        response = requester.delivered[-1]
+        __, __, response = do_read(machine, (0, 0, 0), (2, 0, 0), reply=10)
         assert response.kind is PacketKind.READ_RESPONSE
         assert response.traffic_class is TrafficClass.RESPONSE
         assert response.num_flits == 2
@@ -56,8 +60,7 @@ class TestRemoteRead:
     def test_response_never_wraps(self, machine, hop_recorder):
         """Mesh-restricted responses: from (2,*,*) to (0,*,*) the response
         walks through x=1, never using the 2->0 wraparound link."""
-        __, requester = do_read(machine, (0, 0, 0), (2, 1, 1), reply=11)
-        response = requester.delivered[-1]
+        __, __, response = do_read(machine, (0, 0, 0), (2, 1, 1), reply=11)
         mid_id = machine.torus.node_id((1, 1, 1))
         # Hops must include the intermediate x=1 column of the mesh walk.
         assert any(f"@n{mid_id}" in hop for hop in hop_recorder.hops(response))
@@ -67,8 +70,7 @@ class TestRemoteRead:
 
     def test_response_uses_response_vc_on_channels(self, machine):
         from repro.netsim.edge_router import edge_vc
-        __, requester = do_read(machine, (0, 0, 0), (1, 0, 0), reply=12)
-        response = requester.delivered[-1]
+        __, __, response = do_read(machine, (0, 0, 0), (1, 0, 0), reply=12)
         assert edge_vc(response) == RESPONSE_VC
 
     def test_blocking_read_completes_on_response(self, machine):
@@ -88,18 +90,16 @@ class TestRemoteRead:
         assert done[0].stall_ns > 0
 
     def test_round_trip_latency_reasonable(self, machine):
-        request, requester = do_read(machine, (0, 0, 0), (1, 0, 0),
-                                     reply=13)
-        response = requester.delivered[-1]
+        request, __, response = do_read(machine, (0, 0, 0), (1, 0, 0),
+                                        reply=13)
         round_trip = response.delivered_ns - request.injected_ns
         # Two one-hop traversals plus memory service: 100-250 ns scale.
         assert 80.0 < round_trip < 300.0
 
     def test_intra_node_read(self, machine, hop_recorder):
         """Reads within a node never touch the edge network."""
-        __, requester = do_read(machine, (0, 0, 0), (0, 0, 0), reply=14,
-                                src_core=CoreAddress(0, 0, 0),
-                                dst_core=CoreAddress(4, 4, 0))
-        response = requester.delivered[-1]
+        __, __, response = do_read(machine, (0, 0, 0), (0, 0, 0), reply=14,
+                                   src_core=CoreAddress(0, 0, 0),
+                                   dst_core=CoreAddress(4, 4, 0))
         assert response.torus_hops_taken == 0
         assert not any("ertr" in hop for hop in hop_recorder.hops(response))

@@ -413,11 +413,14 @@ class TestMachineIntegration:
         src_node, dst_node = (0, 0, 0), (2, 1, 1)
         src_core, dst_core = CoreAddress(0, 0, 0), CoreAddress(1, 1, 0)
         machine.gc(dst_node, dst_core).sram.counted_write(3, [7, 7, 7, 7])
+        delivered = []
+        machine.set_delivery_hook(delivered.append)
         machine.send_remote_read(src_node, src_core, dst_node, dst_core,
                                  quad_addr=3, reply_quad=5)
         machine.sim.run()
-        responses = [p for p in machine.gc(src_node, src_core).delivered
-                     if p.kind is PacketKind.READ_RESPONSE]
+        responses = [p for p in delivered
+                     if p.kind is PacketKind.READ_RESPONSE
+                     and (p.dst_node, p.dst_core) == (src_node, src_core)]
         assert len(responses) == 1
         response = responses[0]
         assert response.traffic_class is TrafficClass.RESPONSE

@@ -332,6 +332,31 @@ class TestCli:
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
 
+    def test_malformed_set_exits_2(self, capsys):
+        assert main(["run", "fig11_fence", "--set", "foo", "--no-cache"]) == 2
+        assert "error: --set expects key=value" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["cache", "stats", "--dry-run"],
+        ["cache", "prune", "--json"],
+        ["cache"],
+        ["ledger", "show", "a", "b"],
+        ["ledger", "diff", "a"],
+        ["ledger", "diff", "--experiment", "x", "a", "b"],
+        ["ledger", "list", "abcd"],
+        ["trace", "list", "--packet", "1,0"],
+        ["trace", "export"],
+        ["trace", "export", "--digest", "ab", "--input", "t.json"],
+        ["report", "--by", "vc"],
+        ["timeline", "machine/in_flight"],
+        ["diagnose", "ab", "--no-write"],
+    ])
+    def test_wrong_flag_combinations_exit_2(self, argv, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(argv)
+        assert exit_info.value.code == 2
+        assert "error:" in capsys.readouterr().err
+
     def test_end_to_end_run_and_report(self, tmp_path, capsys):
         cache_dir = tmp_path / "cache"
         output = tmp_path / "out.json"
@@ -850,10 +875,34 @@ class TestCacheMaintenance:
 
     def test_cli_cache_stats_rejects_dry_run(self, tmp_path, capsys):
         cache = self._seeded_cache(tmp_path)
-        code = main(["cache", "stats", "--dry-run", "--cache-dir",
-                     str(cache.root)])
-        assert code == 2
-        assert "--dry-run only applies to prune" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exit_info:
+            main(["cache", "stats", "--dry-run", "--cache-dir",
+                  str(cache.root)])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --dry-run" in capsys.readouterr().err
+
+    def test_cli_prune_dry_run_reports_the_real_plan(self, tmp_path, capsys):
+        # One stale entry with one metrics artifact: the dry run must
+        # count the artifact the real prune sweeps after removing it.
+        cache = ResultCache(tmp_path / "cache")
+        cache.put("fig11_fence", {"a": 1}, {"r": 1}, version=1)
+        stale = cache.put("fig11_fence", {"a": 2}, {"r": 2}, version=99)
+        size = stale.stat().st_size
+        observe = tmp_path / "cache" / "observe"
+        observe.mkdir()
+        (observe / f"{stale.stem}.metrics.json").write_text("{}")
+        root = str(cache.root)
+
+        assert main(["cache", "prune", "--dry-run", "--cache-dir", root]) == 0
+        dry = capsys.readouterr().out.splitlines()
+        assert len(cache) == 2 and len(list(observe.iterdir())) == 1
+        assert main(["cache", "prune", "--cache-dir", root]) == 0
+        real = capsys.readouterr().out.splitlines()
+        assert len(cache) == 1 and not list(observe.iterdir())
+        assert dry[0].startswith(f"would remove 1 entries ({size} bytes)")
+        assert real[0].startswith(f"removed 1 entries ({size} bytes)")
+        assert dry[1:] == ["would sweep 1 orphaned observe artifacts (2 bytes)"]
+        assert real[1:] == ["swept 1 orphaned observe artifacts (2 bytes)"]
 
 
 # ---------------------------------------------------------------------------

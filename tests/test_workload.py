@@ -146,7 +146,6 @@ class TestFixedWindowHarness:
                            measure_ns=200.0).run()
         chip = machine.chips[(0, 0, 0)]
         assert chip.delivery_hook is None
-        assert chip.record_delivered
 
     def test_validation(self):
         machine = tiny_machine()
