@@ -1,7 +1,7 @@
 """Degraded-mode resilience: adaptive routing keeps throughput as
 cables die, deterministic table routing collapses.
 
-The ``fault_sweep`` experiment drives saturating uniform traffic over a
+The ``route_ablation`` experiment drives saturating uniform traffic over a
 2 x 2 x 2 torus degraded by seed-derived, connectivity-preserving
 dead-cable sets.  At line-rate offered load the surviving cables are
 the bottleneck, so accepted load is a direct read of how well each
@@ -48,7 +48,7 @@ def _accepted_by_faults(routing, cache):
             "measure_ns": 800.0,
         }
     )
-    sweep = Sweep("fault_sweep", grid, label=f"fault-resilience-{routing}")
+    sweep = Sweep("route_ablation", grid, label=f"fault-resilience-{routing}")
     result = run_sweep(sweep, jobs=2, cache=cache)
     return {
         run.params["num_faults"]: run.result["accepted_load"]

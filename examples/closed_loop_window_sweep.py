@@ -18,26 +18,26 @@ sweeps::
 Run:  python examples/closed_loop_window_sweep.py
 """
 
-from repro.analysis import window_sweep_table
-from repro.workload import measure_window_sweep
+from repro.analysis import window_sweep_tables
+from repro.runner import ParameterGrid, Sweep, run_sweep
 
 WINDOWS = [4, 16, 48, 96]
 
 
 def main() -> None:
     for routing in ("randomized-minimal", "valiant"):
-        sweep = measure_window_sweep(
-            WINDOWS,
-            dims=(8, 1, 1),
-            chip_cols=6,
-            chip_rows=6,
-            pattern="tornado",
-            routing=routing,
-            machine_seed=7,
-            workload_seed=11,
-        )
-        runs = [{"result": point} for point in sweep["points"]]
-        print(window_sweep_table(runs, title=f"routing: {routing}"))
+        grid = ParameterGrid({
+            "dims": [(8, 1, 1)],
+            "chip_cols": 6,
+            "chip_rows": 6,
+            "pattern": "tornado",
+            "routing": routing,
+            "window": WINDOWS,
+            "machine_seed": 7,
+            "workload_seed": 11,
+        })
+        result = run_sweep(Sweep("closed_loop", grid))
+        print(window_sweep_tables([run.record() for run in result.runs]))
         print()
 
 

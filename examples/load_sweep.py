@@ -10,25 +10,25 @@ runner as registered sweeps::
 Run:  python examples/load_sweep.py
 """
 
-from repro.analysis import load_sweep_table
-from repro.traffic import measure_load_sweep
+from repro.analysis import load_sweep_tables
+from repro.runner import ParameterGrid, Sweep, run_sweep
 
 LOADS = [0.05, 0.2, 0.4, 0.6, 0.8, 1.0]
 
 
 def main() -> None:
     for pattern in ("uniform", "neighbor"):
-        sweep = measure_load_sweep(
-            LOADS,
-            dims=(2, 2, 2),
-            chip_cols=6,
-            chip_rows=6,
-            pattern=pattern,
-            warmup_ns=300.0,
-            measure_ns=1000.0,
-        )
-        runs = [{"result": point} for point in sweep["points"]]
-        print(load_sweep_table(runs, title=f"pattern: {pattern}"))
+        grid = ParameterGrid({
+            "dims": [(2, 2, 2)],
+            "chip_cols": 6,
+            "chip_rows": 6,
+            "pattern": pattern,
+            "offered_load": LOADS,
+            "warmup_ns": 300.0,
+            "measure_ns": 1000.0,
+        })
+        result = run_sweep(Sweep("route_ablation", grid))
+        print(load_sweep_tables([run.record() for run in result.runs]))
         print()
 
 

@@ -21,8 +21,8 @@ and can be rendered as an ASCII chart straight from the results::
 Run:  python examples/routing_ablation.py
 """
 
-from repro.analysis import load_sweep_table
-from repro.traffic import measure_load_sweep
+from repro.analysis import load_sweep_tables
+from repro.runner import ParameterGrid, Sweep, run_sweep
 
 RING = (8, 1, 1)
 LOADS = [0.05, 0.2, 0.45]
@@ -33,21 +33,21 @@ POLICIES = ("fixed-xyz", "randomized-minimal", "valiant",
 def main() -> None:
     ceilings = {}
     for routing in POLICIES:
-        sweep = measure_load_sweep(
-            LOADS,
-            dims=RING,
-            chip_cols=6,
-            chip_rows=6,
-            pattern="tornado",
-            routing=routing,
-            warmup_ns=300.0,
-            measure_ns=1000.0,
-        )
-        runs = [{"result": point} for point in sweep["points"]]
-        print(load_sweep_table(runs, title=f"tornado under {routing}"))
+        grid = ParameterGrid({
+            "dims": [RING],
+            "chip_cols": 6,
+            "chip_rows": 6,
+            "pattern": "tornado",
+            "routing": routing,
+            "offered_load": LOADS,
+            "warmup_ns": 300.0,
+            "measure_ns": 1000.0,
+        })
+        result = run_sweep(Sweep("route_ablation", grid))
+        print(load_sweep_tables([run.record() for run in result.runs]))
         print()
-        ceilings[routing] = max(point["accepted_load"]
-                                for point in sweep["points"])
+        ceilings[routing] = max(run.result["accepted_load"]
+                                for run in result.runs)
     print("accepted-load ceilings:",
           "  ".join(f"{name}={ceiling:.3f}"
                     for name, ceiling in ceilings.items()))

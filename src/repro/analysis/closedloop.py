@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .report import format_table
-from .saturation import SaturationAnalysis
+from .saturation import SaturationAnalysis, fault_count
 
 __all__ = [
     "DEFAULT_KNEE_FRACTION",
@@ -287,23 +287,27 @@ def phase_loop_table(
 
     The comparison format for ``phase-loop-*`` sweeps, which fan the
     routing-policy axis out over one fence-synchronized workload — the
-    closed-loop analogue of the routing-ablation tables.
+    closed-loop analogue of the routing-ablation tables.  When any run's
+    params carry a fault count (the ``fault-phase-loop-*`` sweeps), a
+    ``faults`` column names it.
     """
     rows = []
     for run in runs:
         extracted = _phase_row_from_run(run)
         if extracted is not None:
-            rows.append(extracted)
+            rows.append((fault_count(run), *extracted))
     if not rows:
         raise ValueError("no completed phase-loop runs in these records")
-    rows.sort(key=lambda r: (r[0], r[1], r[2], r[3]))
-    formatted = [[pattern, routing, f"{window:d}", f"{messages:d}",
-                  f"{iterations:d}", f"{iteration_ns:.1f}",
-                  f"{fence_fraction:.2f}"]
-                 for (pattern, routing, window, messages, iterations,
+    rows.sort(key=lambda r: (r[1], r[2], r[3], r[4], r[0] or 0))
+    faulted = any(row[0] is not None for row in rows)
+    formatted = [[pattern, routing,
+                  *([f"{faults or 0:d}"] if faulted else []),
+                  f"{window:d}", f"{messages:d}", f"{iterations:d}",
+                  f"{iteration_ns:.1f}", f"{fence_fraction:.2f}"]
+                 for (faults, pattern, routing, window, messages, iterations,
                       iteration_ns, fence_fraction) in rows]
     table = format_table(
-        ("pattern", "routing", "window", "msgs/node", "iters",
-         "mean iteration ns", "fence-wait frac"),
+        ("pattern", "routing", *(["faults"] if faulted else []), "window",
+         "msgs/node", "iters", "mean iteration ns", "fence-wait frac"),
         formatted)
     return f"{title}\n{table}" if title else table

@@ -20,6 +20,7 @@ __all__ = [
     "SaturationAnalysis",
     "detect_saturation",
     "analyze_load_sweep",
+    "fault_count",
     "group_load_sweep_runs",
     "load_sweep_table",
     "load_sweep_tables",
@@ -160,22 +161,37 @@ def analyze_load_sweep(
         points=tuple(points))
 
 
+def fault_count(run: Mapping[str, object]) -> Optional[int]:
+    """The run's ``num_faults`` parameter; ``None`` when it has none.
+
+    Healthy and faulted points share one surface and their records do
+    not echo the fault count, so tables read it from the run's params
+    to tell apart points that would otherwise look identical.
+    """
+    params = run.get("params")
+    if isinstance(params, Mapping) and "num_faults" in params:
+        return int(params["num_faults"])
+    return None
+
+
 def group_load_sweep_runs(
     runs: Iterable[Mapping[str, object]],
-) -> Dict[Tuple[str, str], List[Mapping[str, object]]]:
-    """Split run records into per-curve groups keyed ``(pattern, routing)``.
+) -> Dict[Tuple[str, str, Optional[int]], List[Mapping[str, object]]]:
+    """Split run records into per-curve groups.
 
-    Routing-ablation sweeps mix several adversarial patterns (and report
-    pages mix several policies) in one record stream; each group is one
-    latency-vs-load curve :func:`analyze_load_sweep` accepts.
+    Keyed ``(pattern, routing, fault count)``, the count ``None`` for
+    runs whose params carry none.  Routing-ablation sweeps mix several
+    adversarial patterns (and report pages mix several policies, fault
+    sweeps several fault counts) in one record stream; each group is
+    one latency-vs-load curve :func:`analyze_load_sweep` accepts.
     """
-    groups: Dict[Tuple[str, str], List[Mapping[str, object]]] = {}
+    groups: Dict[Tuple[str, str, Optional[int]], List[Mapping[str, object]]] = {}
     for run in runs:
         extracted = _point_from_run(run)
         if extracted is None:
             continue
         __, __unused, __a, pattern, routing = extracted
-        groups.setdefault((pattern, routing), []).append(run)
+        groups.setdefault((pattern, routing, fault_count(run)), []).append(run)
     return groups
 
 
@@ -211,18 +227,22 @@ def load_sweep_tables(
 ) -> str:
     """Per-curve latency-vs-load tables for a mixed record stream.
 
-    Groups the runs by ``(pattern, routing)`` and renders one
+    Groups the runs with :func:`group_load_sweep_runs` and renders one
     :func:`load_sweep_table` per curve — the report format for
     ``route-ablation-*`` sweeps, which mix adversarial patterns on
-    purpose.  Raises ``ValueError`` when no group yields any points.
+    purpose, and ``fault-sweep-*`` sweeps, whose curves are named by
+    fault count.  Raises ``ValueError`` when no group yields any points.
     """
     groups = group_load_sweep_runs(runs)
     if not groups:
         raise ValueError("no completed load-sweep points in these runs")
     tables = []
-    for (pattern, routing) in sorted(groups):
+    for key in sorted(groups, key=lambda k: (k[0], k[1], k[2] or 0)):
+        pattern, routing, faults = key
         curve = f"{pattern}/{routing}" if routing else pattern
+        if faults is not None:
+            curve = f"{curve}, {faults} faults"
         label = f"{title} [{curve}]" if title else curve
-        tables.append(load_sweep_table(groups[(pattern, routing)],
-                                       latency_multiple, title=label))
+        tables.append(load_sweep_table(groups[key], latency_multiple,
+                                       title=label))
     return "\n\n".join(tables)

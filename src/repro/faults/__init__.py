@@ -13,8 +13,12 @@ The fault model has four moving parts:
   routing policy consults while faults are active, preserving each
   policy's choice flavor via ``RoutingPolicy.reroute_choice``.
 
-The run surface (``repro.faults.surface``) is imported lazily by the
-runner catalog, never from here — it pulls in the whole netsim stack.
+Faults are a machine axis of the healthy run surfaces: the
+``num_faults`` parameters of
+:func:`repro.traffic.surface.measure_load_point` and
+:func:`repro.workload.surface.measure_phase_loop` build a
+:func:`~repro.faults.schedule.random_fault_schedule` into the machine's
+``MachineConfig.faults``.
 """
 
 from .inject import FaultInjector

@@ -173,6 +173,30 @@ class FenceEngine:
                 f"{len(self.machine.chips)} nodes finished")
         return max(completions) - start
 
+    def live_diameter(self) -> int:
+        """The fewest fence hops that synchronize every node.
+
+        The torus diameter on a healthy machine.  Under faults it is the
+        longest live fence-capable distance between any two nodes, which
+        dead links can stretch past the torus diameter — a fence with
+        this many hops passes the domain check on any connected faulted
+        fabric.  Raises :class:`FenceDomainError` when the live fabric
+        is partitioned, so no hop count reaches every node.
+        """
+        torus = self.machine.torus
+        state = self._fault_state()
+        if state is None or not state.active:
+            return torus.dims.diameter
+        diameter = 0
+        for source in torus.nodes():
+            dist = self._live_fence_distances(source)
+            if len(dist) < torus.dims.num_nodes:
+                raise FenceDomainError(
+                    f"fence domain partitioned: {source} cannot reach "
+                    f"every node over the surviving links")
+            diameter = max(diameter, max(dist.values()))
+        return diameter
+
     # ------------------------------------------------------------------
     # Fault awareness: live fence links and the domain pre-check.
     # ------------------------------------------------------------------

@@ -2,8 +2,8 @@
 
 :class:`MachineConfig` gathers every knob a
 :class:`~repro.netsim.machine.NetworkMachine` takes — topology dims,
-latency parameters, chip grid, seed, routing policy, delivered-packet
-retention, and the fault schedule — into a single frozen dataclass.
+latency parameters, chip grid, seed, routing policy, and the fault
+schedule — into a single frozen dataclass.
 ``NetworkMachine(config=...)`` is the one way to build a machine.
 
 Freezing the config keeps it safe to share across harnesses, embed in

@@ -187,27 +187,14 @@ class ResultCache:
         return observe_dir(self.root).glob("*.json")
 
     def observe_stats(self) -> Dict[str, int]:
-        """Artifact counts/bytes under ``observe/``, live vs orphaned.
+        """Artifact count and bytes under ``observe/``.
 
-        An artifact is *orphaned* when its digest no longer has a live
-        cache entry (the run was pruned or the cache cleared): nothing
-        can resolve it by digest anymore, so ``prune`` reclaims it.
+        Which of them are orphaned is part of the :meth:`prune` plan
+        (``prune(registered, dry_run=True)``): an artifact is orphaned
+        once no entry that survives the prune carries its digest.
         """
-        live = {path.stem for path in self._entry_paths()}
-        artifacts = size = orphaned = orphaned_size = 0
-        for path in sorted(self._artifact_paths()):
-            bytes_ = path.stat().st_size
-            artifacts += 1
-            size += bytes_
-            if path.name.split(".")[0] not in live:
-                orphaned += 1
-                orphaned_size += bytes_
-        return {
-            "artifacts": artifacts,
-            "bytes": size,
-            "orphaned": orphaned,
-            "orphaned_bytes": orphaned_size,
-        }
+        sizes = [path.stat().st_size for path in self._artifact_paths()]
+        return {"artifacts": len(sizes), "bytes": sum(sizes)}
 
     def ledger_stats(self) -> Dict[str, int]:
         """Record/event counts and on-disk bytes of the sibling ledger.

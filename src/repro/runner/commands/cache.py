@@ -85,7 +85,13 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     total = {
         key: sum(config[key] for config in configs) for key in ("entries", "bytes")
     }
-    observe = cache.observe_stats()
+    # Orphans are what a prune would sweep, stale entries' artifacts too.
+    plan = cache.prune(registered, dry_run=True)
+    observe = dict(
+        cache.observe_stats(),
+        orphaned=plan["artifacts_removed"],
+        orphaned_bytes=plan["artifacts_freed_bytes"],
+    )
     ledger = cache.ledger_stats()
     if args.json:
         payload = {

@@ -320,9 +320,10 @@ def _sweep_table_renderers() -> Dict[str, object]:
 
     Each renderer takes the run records and a title: latency-vs-load
     tables with saturation points for ``route_ablation`` (one table per
-    (pattern, routing) curve), throughput/latency-vs-window tables with
-    the knee for ``closed_loop``, and the per-configuration
-    iteration-time comparison for ``phase_loop``.
+    (pattern, routing, fault count) curve), throughput/latency-vs-window
+    tables with the knee for ``closed_loop``, and the per-configuration
+    iteration-time comparison for ``phase_loop`` (with a fault-count
+    column on faulted sweeps).
     """
     from ...analysis.closedloop import phase_loop_table, window_sweep_tables
     from ...analysis.saturation import load_sweep_tables

@@ -3,14 +3,14 @@
 Each experiment names its run surface once, by the dotted path of a
 pure module-level function (``repro.netsim.surface``,
 ``repro.fence.surface``, ``repro.traffic.surface``,
-``repro.workload.surface``, ``repro.faults.surface``,
-``repro.fullsim.surface``), and binds it to the parameter grid the
-corresponding benchmark sweeps — the single source of truth shared by
-``benchmarks/``, ``examples/``, and the ``python -m repro.runner`` CLI.
-The accepted parameters are the function's own signature.  Surfaces are
-imported on first use, so importing the registry stays cheap and
-workers only load what they execute.  Smoke grids are tiny variants
-used by CI and tests to exercise the parallel path in seconds.
+``repro.workload.surface``, ``repro.fullsim.surface``), and binds it
+to the parameter grid the corresponding benchmark sweeps — the single
+source of truth shared by ``benchmarks/``, ``examples/``, and the
+``python -m repro.runner`` CLI.  The accepted parameters are the
+function's own signature.  Surfaces are imported on first use, so
+importing the registry stays cheap and workers only load what they
+execute.  Smoke grids are tiny variants used by CI and tests to
+exercise the parallel path in seconds.
 """
 
 from __future__ import annotations
@@ -231,13 +231,35 @@ ROUTE_ABLATION_SMOKE_GRID = ParameterGrid(
     }
 )
 
+#: Degraded-mode smoke points: two policies around four dead cables
+#: and their healthy baseline, a union member of the ``route_ablation``
+#: smoke grid so ``sweep --smoke`` also routes around faults.
+FAULT_SWEEP_SMOKE_GRID = ParameterGrid(
+    {
+        "dims": [(2, 2, 2)],
+        "chip_cols": 6,
+        "chip_rows": 6,
+        "pattern": "uniform",
+        "routing": ["fixed-xyz", "adaptive-escape"],
+        "offered_load": 0.3,
+        "num_faults": [0, 4],
+        "fault_seed": 1,
+        "machine_seed": 0,
+        "traffic_seed": 0,
+        "warmup_ns": 100.0,
+        "measure_ns": 300.0,
+    }
+)
+
 register(
     Experiment(
         name="route_ablation",
         grid=_route_ablation_grid("randomized-minimal"),
-        smoke_grid=ROUTE_ABLATION_SMOKE_GRID,
+        smoke_grid=ParameterGrid(
+            ROUTE_ABLATION_SMOKE_GRID.subgrids() + FAULT_SWEEP_SMOKE_GRID.subgrids()
+        ),
         description="Open-loop load point under a chosen routing policy "
-        "(routing ablations)",
+        "and fault count (routing ablations, fault sweeps)",
         version=2,  # v2: adaptive-escape routing + the six-VC link map
         surface="repro.traffic.surface.measure_load_point",
     )
@@ -361,13 +383,34 @@ PHASE_LOOP_SMOKE_GRID = ParameterGrid(
     }
 )
 
+#: A faulted phase loop and its healthy baseline, a union member of the
+#: ``phase_loop`` smoke grid.
+FAULT_PHASE_LOOP_SMOKE_GRID = ParameterGrid(
+    {
+        "dims": [(2, 2, 2)],
+        "chip_cols": 6,
+        "chip_rows": 6,
+        "pattern": "halo",
+        "routing": ["adaptive-escape"],
+        "messages_per_node": 4,
+        "window": 2,
+        "iterations": 1,
+        "num_faults": [0, 2],
+        "fault_seed": 1,
+        "machine_seed": 0,
+        "workload_seed": 0,
+    }
+)
+
 register(
     Experiment(
         name="phase_loop",
         grid=_phase_loop_grid("halo"),
-        smoke_grid=PHASE_LOOP_SMOKE_GRID,
+        smoke_grid=ParameterGrid(
+            PHASE_LOOP_SMOKE_GRID.subgrids() + FAULT_PHASE_LOOP_SMOKE_GRID.subgrids()
+        ),
         description="Fence-synchronized phase workload "
-        "(MD-timestep iteration time per routing policy)",
+        "(MD-timestep iteration time per routing policy and fault count)",
         version=2,  # v2: adaptive-escape routing + the six-VC link map
         surface="repro.workload.surface.measure_phase_loop",
     )
@@ -383,7 +426,9 @@ PHASE_LOOP_SWEEPS = {
 }
 
 # ---------------------------------------------------------------------------
-# Fault sweeps: degraded-mode resilience per routing policy.
+# Fault sweeps: degraded-mode resilience per routing policy.  Faults are
+# a machine axis of the healthy surfaces, so these sweeps run on
+# ``route_ablation`` and ``phase_loop``.
 # ---------------------------------------------------------------------------
 
 #: Policies that get registered ``fault-sweep-<policy>`` and
@@ -428,37 +473,9 @@ def _fault_sweep_grid(policy: str) -> ParameterGrid:
     )
 
 
-FAULT_SWEEP_SMOKE_GRID = ParameterGrid(
-    {
-        "dims": [(2, 2, 2)],
-        "chip_cols": 6,
-        "chip_rows": 6,
-        "pattern": "uniform",
-        "routing": ["fixed-xyz", "adaptive-escape"],
-        "offered_load": 0.3,
-        "num_faults": [0, 4],
-        "fault_seed": 1,
-        "machine_seed": 0,
-        "traffic_seed": 0,
-        "warmup_ns": 100.0,
-        "measure_ns": 300.0,
-    }
-)
-
-register(
-    Experiment(
-        name="fault_sweep",
-        grid=_fault_sweep_grid("randomized-minimal"),
-        smoke_grid=FAULT_SWEEP_SMOKE_GRID,
-        description="Open-loop accepted load vs dead-cable count "
-        "(degraded-mode resilience per routing policy)",
-        surface="repro.faults.surface.measure_fault_load_point",
-    )
-)
-
 FAULT_SWEEPS = {
     f"fault-sweep-{policy}": Sweep(
-        "fault_sweep",
+        "route_ablation",
         _fault_sweep_grid(policy),
         label=f"fault-sweep-{policy}",
     )
@@ -485,37 +502,9 @@ def _fault_phase_loop_grid(policy: str) -> ParameterGrid:
     )
 
 
-FAULT_PHASE_LOOP_SMOKE_GRID = ParameterGrid(
-    {
-        "dims": [(2, 2, 2)],
-        "chip_cols": 6,
-        "chip_rows": 6,
-        "pattern": "halo",
-        "routing": ["adaptive-escape"],
-        "messages_per_node": 4,
-        "window": 2,
-        "iterations": 1,
-        "num_faults": [0, 2],
-        "fault_seed": 1,
-        "machine_seed": 0,
-        "workload_seed": 0,
-    }
-)
-
-register(
-    Experiment(
-        name="fault_phase_loop",
-        grid=_fault_phase_loop_grid("randomized-minimal"),
-        smoke_grid=FAULT_PHASE_LOOP_SMOKE_GRID,
-        description="Fenced phase-loop iteration time vs dead-cable count "
-        "(degraded-mode iteration-time growth per routing policy)",
-        surface="repro.faults.surface.measure_fault_phase_loop",
-    )
-)
-
 FAULT_PHASE_LOOP_SWEEPS = {
     f"fault-phase-loop-{policy}": Sweep(
-        "fault_phase_loop",
+        "phase_loop",
         _fault_phase_loop_grid(policy),
         label=f"fault-phase-loop-{policy}",
     )

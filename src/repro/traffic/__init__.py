@@ -38,7 +38,7 @@ from .patterns import (
     UniformRandomPattern,
     make_pattern,
 )
-from .surface import measure_load_point, measure_load_sweep
+from .surface import measure_load_point
 
 __all__ = [
     "InjectionProcess",
@@ -58,5 +58,4 @@ __all__ = [
     "UniformRandomPattern",
     "make_pattern",
     "measure_load_point",
-    "measure_load_sweep",
 ]

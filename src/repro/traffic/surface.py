@@ -6,13 +6,15 @@ per call.  One call of :func:`measure_load_point` is one point of a
 latency-vs-offered-load curve, so a registered ``load-sweep-*`` sweep
 fans the load axis out across worker processes and the saturation
 analysis (:mod:`repro.analysis.saturation`) runs over the collected
-records.
+records.  Faults are one more machine axis: the ``fault-sweep-*``
+sweeps fan ``num_faults`` out at a saturating load.
 """
 
 from __future__ import annotations
 
 from typing import Optional, Sequence
 
+from ..faults.schedule import random_fault_schedule
 from ..netsim.config import MachineConfig
 from ..netsim.machine import NetworkMachine
 from .openloop import OpenLoopHarness
@@ -34,6 +36,9 @@ def measure_load_point(
     measure_ns: float = 1600.0,
     drain_ns: Optional[float] = None,
     hotspot_fraction: float = 0.5,
+    num_faults: int = 0,
+    fault_seed: int = 0,
+    fault_kind: str = "dead-link",
 ) -> dict:
     """One open-loop load point on a fresh machine.
 
@@ -43,7 +48,16 @@ def measure_load_point(
     :meth:`~repro.traffic.openloop.OpenLoopResult.to_dict` record:
     offered vs accepted load plus per-traffic-class latency percentiles
     for the measure window.
+
+    ``num_faults`` seed-derived, connectivity-preserving faults of
+    ``fault_kind`` land at t=0, so traffic routes around them and never
+    meets an unreachable destination.  A faulted record adds
+    ``faults``, the applied set, so plots can audit which cables died;
+    ``num_faults=0`` is the healthy machine and its unchanged record.
     """
+    faults = random_fault_schedule(
+        tuple(dims), num_faults, seed=fault_seed, kind=fault_kind
+    )
     machine = NetworkMachine(
         config=MachineConfig(
             dims=tuple(dims),
@@ -51,6 +65,7 @@ def measure_load_point(
             chip_rows=chip_rows,
             seed=machine_seed,
             routing=routing,
+            faults=faults or None,
         )
     )
     traffic = make_pattern(pattern, machine.torus, fraction=hotspot_fraction)
@@ -65,28 +80,8 @@ def measure_load_point(
         measure_ns=measure_ns,
         drain_ns=drain_ns,
     )
-    return harness.run().to_dict()
+    record = harness.run().to_dict()
+    if faults:
+        record["faults"] = faults.to_jsonable()
+    return record
 
-
-def measure_load_sweep(
-    offered_loads: Sequence[float],
-    latency_multiple: float = 3.0,
-    **point_params: object,
-) -> dict:
-    """A whole latency-vs-load curve in-process, with saturation analysis.
-
-    Convenience for examples and tests that do not go through the
-    runner; each load point still builds a fresh machine, so results are
-    identical to a runner sweep over the same parameters.
-    """
-    from ..analysis.saturation import analyze_load_sweep
-
-    runs = [
-        {"result": measure_load_point(offered_load=load, **point_params)}
-        for load in sorted(float(load) for load in offered_loads)
-    ]
-    analysis = analyze_load_sweep(runs, latency_multiple)
-    return {
-        "points": [run["result"] for run in runs],
-        "saturation": analysis.to_dict(),
-    }

@@ -50,7 +50,7 @@ from .phases import (
     PhaseSpec,
     md_timestep_phases,
 )
-from .surface import measure_phase_loop, measure_window_point, measure_window_sweep
+from .surface import measure_phase_loop, measure_window_point
 from .window import ClosedLoopDriver, FixedWindowHarness, WindowLoopResult
 
 __all__ = [
@@ -62,6 +62,5 @@ __all__ = [
     "PhaseLoopResult",
     "md_timestep_phases",
     "measure_window_point",
-    "measure_window_sweep",
     "measure_phase_loop",
 ]

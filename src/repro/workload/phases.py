@@ -153,13 +153,14 @@ class PhaseLoopHarness:
         self.machine = machine
         self.phases = list(phases)
         self.seed = seed
-        # A fence covering the torus diameter synchronizes every node —
-        # the global barrier an MD integration step requires.
+        self.engine = fence_engine or FenceEngine(machine)
+        # A fence covering the live diameter synchronizes every node —
+        # the global barrier an MD integration step requires.  Dead
+        # links widen it past the torus diameter.
         self.fence_hops = (fence_hops if fence_hops is not None
-                           else machine.torus.dims.diameter)
+                           else self.engine.live_diameter())
         if self.fence_hops < 0:
             raise ValueError("fence_hops must be >= 0")
-        self.engine = fence_engine or FenceEngine(machine)
 
     # ------------------------------------------------------------------
     # One closed-loop burst.

@@ -6,7 +6,8 @@ per call.  One :func:`measure_window_point` call is one point of a
 throughput-vs-window curve (the ``closed-loop-*`` sweeps fan the window
 axis out across workers); one :func:`measure_phase_loop` call is one
 fence-synchronized phase-workload configuration (the ``phase-loop-*``
-sweeps fan the routing-policy axis out).
+sweeps fan the routing-policy axis out, the ``fault-phase-loop-*``
+sweeps the dead-cable axis).
 
 Invariant: these functions are pure in ``(params,)`` — fresh machine,
 fresh derived RNG streams, no module state — which is what makes their
@@ -21,6 +22,7 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
+from ..faults.schedule import random_fault_schedule
 from ..netsim.config import MachineConfig
 from ..netsim.machine import NetworkMachine
 from ..traffic.patterns import make_pattern
@@ -76,30 +78,6 @@ def measure_window_point(
     return harness.run().to_dict()
 
 
-def measure_window_sweep(
-    windows: Sequence[int],
-    knee_fraction: float = 0.95,
-    **point_params: object,
-) -> dict:
-    """A whole throughput-vs-window curve in-process, with knee analysis.
-
-    Convenience for examples and tests that do not go through the
-    runner; each window point still builds a fresh machine, so results
-    are identical to a runner sweep over the same parameters.
-    """
-    from ..analysis.closedloop import analyze_window_sweep
-
-    runs = [
-        {"result": measure_window_point(window=window, **point_params)}
-        for window in sorted(int(window) for window in windows)
-    ]
-    analysis = analyze_window_sweep(runs, knee_fraction)
-    return {
-        "points": [run["result"] for run in runs],
-        "knee": analysis.to_dict(),
-    }
-
-
 def measure_phase_loop(
     dims: Sequence[int] = (2, 2, 2),
     chip_cols: int = 6,
@@ -114,6 +92,8 @@ def measure_phase_loop(
     workload_seed: int = 0,
     read_fraction: float = 0.0,
     hotspot_fraction: float = 0.5,
+    num_faults: int = 0,
+    fault_seed: int = 0,
 ) -> dict:
     """One fence-synchronized phase workload on a fresh machine.
 
@@ -123,7 +103,14 @@ def measure_phase_loop(
     :meth:`~repro.workload.phases.PhaseLoopResult.to_dict` record:
     per-iteration time, per-phase burst/fence breakdown, and the
     fence-wait fraction.
+
+    ``num_faults`` seed-derived, connectivity-preserving dead links land
+    at t=0.  ``fence_hops`` defaults to the live fence diameter
+    (:meth:`~repro.fence.engine.FenceEngine.live_diameter`), so the
+    global barrier widens with the damage and its cost shows up in the
+    iteration time.  A faulted record adds ``faults``, the applied set.
     """
+    faults = random_fault_schedule(tuple(dims), num_faults, seed=fault_seed)
     machine = NetworkMachine(
         config=MachineConfig(
             dims=tuple(dims),
@@ -131,6 +118,7 @@ def measure_phase_loop(
             chip_rows=chip_rows,
             seed=machine_seed,
             routing=routing,
+            faults=faults or None,
         )
     )
     spatial = make_pattern(pattern, machine.torus, fraction=hotspot_fraction)
@@ -148,4 +136,6 @@ def measure_phase_loop(
     record = result.to_dict()
     record["messages_per_node"] = messages_per_node
     record["window"] = window
+    if faults:
+        record["faults"] = faults.to_jsonable()
     return record

@@ -1,6 +1,8 @@
 """Tests for fault injection and degraded-mode routing (repro.faults),
 plus the unified MachineConfig construction API (repro.netsim.config)."""
 
+import json
+
 import pytest
 
 from repro.faults import (
@@ -278,32 +280,47 @@ class TestDegradedTraffic:
                  warmup_ns=100.0, measure_ns=300.0)
 
     def test_faulted_open_loop_delivers(self):
-        from repro.faults.surface import measure_fault_load_point
-
-        record = measure_fault_load_point(routing="adaptive-escape",
-                                          num_faults=4, fault_seed=1,
-                                          **self.POINT)
-        assert record["accepted_load"] > 0
-        assert len(record["faults"]) == 4
-        assert record["num_faults"] == 4
-
-    def test_zero_faults_is_byte_identical_to_the_healthy_surface(self):
-        from repro.faults.surface import measure_fault_load_point
         from repro.traffic.surface import measure_load_point
 
-        degraded = measure_fault_load_point(num_faults=0, **self.POINT)
-        assert degraded.pop("faults") == []
-        assert degraded.pop("num_faults") == 0
-        assert degraded.pop("fault_kind") == "dead-link"
-        assert degraded == measure_load_point(**self.POINT)
+        record = measure_load_point(routing="adaptive-escape",
+                                    num_faults=4, fault_seed=1,
+                                    **self.POINT)
+        assert record["accepted_load"] > 0
+        assert record["faults"] == random_fault_schedule(
+            (2, 2, 2), 4, seed=1).to_jsonable()
+        # The fault count is in the run's params, not echoed.
+        assert "num_faults" not in record and "fault_kind" not in record
+
+    def test_zero_faults_is_byte_identical_to_the_healthy_surface(self):
+        from repro.traffic.surface import measure_load_point
+
+        healthy = measure_load_point(num_faults=0, **self.POINT)
+        assert "faults" not in healthy
+        assert json.dumps(healthy) == json.dumps(
+            measure_load_point(**self.POINT))
 
     def test_fault_runs_are_deterministic(self):
-        from repro.faults.surface import measure_fault_load_point
+        from repro.traffic.surface import measure_load_point
 
         kwargs = dict(routing="randomized-minimal", num_faults=6,
                       fault_seed=2, **self.POINT)
-        assert measure_fault_load_point(**kwargs) == \
-            measure_fault_load_point(**kwargs)
+        assert measure_load_point(**kwargs) == measure_load_point(**kwargs)
+
+    def test_phase_loop_default_fence_spans_the_live_fabric(self):
+        # Ten dead links stretch the live fence diameter of the 2x2x2
+        # torus from 3 to 5 hops; a torus-diameter fence would fail the
+        # domain check, so the harness default must be the live one.
+        from repro.fence import FenceDomainError, FenceEngine
+        from repro.workload import PhaseLoopHarness, md_timestep_phases
+
+        machine = faulted_machine(random_fault_schedule((2, 2, 2), 10,
+                                                        seed=0))
+        with pytest.raises(FenceDomainError):
+            FenceEngine(machine).barrier_latency(machine.torus.dims.diameter)
+        phases = md_timestep_phases(machine, messages_per_node=2, window=2)
+        result = PhaseLoopHarness(machine, phases).run(1)
+        assert result.mean_iteration_ns > 0
+        assert result.fence_hops == 5
 
 
 # ---------------------------------------------------------------------------

@@ -223,6 +223,12 @@ class TestFenceDomains:
         # The check runs at start_fence: zero simulated slices burned.
         assert machine.sim.now == 0.0
 
+    def test_live_diameter_raises_on_a_partitioned_fabric(self):
+        machine = faulted_fence_machine(FaultSchedule((
+            FaultEvent(kind="dead-router", node=(1, 1, 1)),)))
+        with pytest.raises(FenceDomainError, match="partitioned"):
+            FenceEngine(machine).live_diameter()
+
     def test_zero_hop_barrier_survives_dead_routers(self):
         machine = faulted_fence_machine(FaultSchedule((
             FaultEvent(kind="dead-router", node=(1, 1, 1)),)))
@@ -253,6 +259,4 @@ class TestFenceDomains:
         with pytest.raises(FenceDomainError, match="partitioned"):
             engine.barrier_latency(1)
         # Widened to the live diameter, the same engine still completes.
-        from repro.faults.surface import live_fence_diameter
-
-        assert engine.barrier_latency(live_fence_diameter(machine)) > 0
+        assert engine.barrier_latency(engine.live_diameter()) > 0

@@ -425,7 +425,8 @@ class TestCacheArtifactHygiene:
         orphan.write_text('{"layer":"trace"}')
         stats = cache.observe_stats()
         assert stats["artifacts"] == 2
-        assert stats["orphaned"] == 1
+        plan = cache.prune({"phase_loop": 2}, dry_run=True)
+        assert plan["artifacts_removed"] == 1
         outcome = cache.prune({"phase_loop": 2})
         assert outcome["removed"] == 0 and outcome["kept"] == 1
         assert outcome["artifacts_removed"] == 1

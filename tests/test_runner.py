@@ -672,7 +672,7 @@ class TestRunSurfaces:
         # Each built-in experiment names its own surface.
         assert len(surfaces) == len(set(surfaces))
         assert "repro.traffic.surface.measure_load_point" in surfaces
-        assert "repro.faults.surface.measure_fault_load_point" in surfaces
+        assert "repro.workload.surface.measure_phase_loop" in surfaces
         for experiment in list_experiments():
             assert callable(experiment.resolve()), experiment.surface
 
@@ -741,11 +741,11 @@ class TestFaultSweeps:
             name = f"fault-sweep-{policy}"
             assert name in FAULT_SWEEPS and name in BUILTIN_SWEEPS
             sweep = BUILTIN_SWEEPS[name]
-            assert sweep.experiment == "fault_sweep"
+            assert sweep.experiment == "route_ablation"
             assert all(p["routing"] == policy for p in sweep.grid)
             assert any(p["num_faults"] > 0 for p in sweep.grid)
             loop = BUILTIN_SWEEPS[f"fault-phase-loop-{policy}"]
-            assert loop.experiment == "fault_phase_loop"
+            assert loop.experiment == "phase_loop"
         assert "fault-sweep-adaptive-escape" in BUILTIN_SWEEPS
         assert "fault-sweep-fixed-xyz" in BUILTIN_SWEEPS
 
@@ -758,12 +758,14 @@ class TestFaultSweeps:
     def test_smoke_grid_runs_and_caches(self, tmp_path):
         from repro.runner.experiments import FAULT_SWEEP_SMOKE_GRID
 
-        sweep = Sweep("fault_sweep", FAULT_SWEEP_SMOKE_GRID,
+        sweep = Sweep("route_ablation", FAULT_SWEEP_SMOKE_GRID,
                       label="fault-smoke")
         serial = assert_jobs_invariant(sweep, tmp_path)
         assert len(serial.runs) == len(FAULT_SWEEP_SMOKE_GRID)
         for run in serial.runs:
-            faults = run.result["faults"]
+            # Healthy points keep the healthy record: no "faults" key.
+            faults = run.result.get("faults", [])
+            assert ("faults" in run.result) == bool(faults)
             assert len(faults) == run.params["num_faults"]
             # Traffic still flows around the dead cables: at 0.3 offered
             # every point accepts nearly all of it.
@@ -772,12 +774,14 @@ class TestFaultSweeps:
     def test_fault_phase_loop_smoke_grid_runs(self, tmp_path):
         from repro.runner.experiments import FAULT_PHASE_LOOP_SMOKE_GRID
 
-        sweep = Sweep("fault_phase_loop", FAULT_PHASE_LOOP_SMOKE_GRID,
+        sweep = Sweep("phase_loop", FAULT_PHASE_LOOP_SMOKE_GRID,
                       label="fault-phase-smoke")
         result = assert_jobs_invariant(sweep, tmp_path)
         for run in result.runs:
             assert run.result["mean_iteration_ns"] > 0
-            assert len(run.result["faults"]) == run.params["num_faults"]
+            faults = run.result.get("faults", [])
+            assert ("faults" in run.result) == bool(faults)
+            assert len(faults) == run.params["num_faults"]
 
 
 # ---------------------------------------------------------------------------
@@ -903,6 +907,28 @@ class TestCacheMaintenance:
         assert real[0].startswith(f"removed 1 entries ({size} bytes)")
         assert dry[1:] == ["would sweep 1 orphaned observe artifacts (2 bytes)"]
         assert real[1:] == ["swept 1 orphaned observe artifacts (2 bytes)"]
+
+    def test_cli_stats_orphans_match_the_prune_dry_run(self, tmp_path, capsys):
+        # The artifact of a stale entry is orphaned: prune removes the
+        # entry first, then sweeps the artifact.  Stats must say so.
+        cache = ResultCache(tmp_path / "cache")
+        cache.put("fig11_fence", {"a": 1}, {"r": 1}, version=1)
+        stale = cache.put("fig11_fence", {"a": 2}, {"r": 2}, version=99)
+        observe = tmp_path / "cache" / "observe"
+        observe.mkdir()
+        (observe / f"{stale.stem}.metrics.json").write_text("{}")
+        root = str(cache.root)
+
+        assert main(["cache", "stats", "--cache-dir", root]) == 0
+        stats = capsys.readouterr().out
+        assert main(["cache", "stats", "--json", "--cache-dir", root]) == 0
+        payload = json.loads(capsys.readouterr().out)["observe"]
+        assert main(["cache", "prune", "--dry-run", "--cache-dir", root]) == 0
+        dry = capsys.readouterr().out
+        assert "would sweep 1 orphaned observe artifacts (2 bytes)" in dry
+        assert "(1 orphaned, 2 bytes reclaimable by prune)" in stats
+        assert payload == {"artifacts": 1, "bytes": 2, "orphaned": 1,
+                           "orphaned_bytes": 2}
 
 
 # ---------------------------------------------------------------------------

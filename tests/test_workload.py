@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro.analysis import analyze_window_sweep
 from repro.netsim import MachineConfig, NetworkMachine, TrafficClass
 from repro.traffic import make_pattern
 from repro.workload import (
@@ -14,7 +15,6 @@ from repro.workload import (
     md_timestep_phases,
     measure_phase_loop,
     measure_window_point,
-    measure_window_sweep,
 )
 
 TINY = dict(dims=(2, 1, 1), chip_cols=6, chip_rows=6)
@@ -175,10 +175,12 @@ class TestWindowSurface:
         json.dumps(record)  # must round-trip to JSON for the cache
 
     def test_window_sweep_reports_knee(self):
-        sweep = measure_window_sweep([1, 2, 4], warmup_ns=100.0,
-                                     measure_ns=400.0, **TINY)
-        assert len(sweep["points"]) == 3
-        knee = sweep["knee"]
+        points = [measure_window_point(window=window, warmup_ns=100.0,
+                                       measure_ns=400.0, **TINY)
+                  for window in (1, 2, 4)]
+        assert len(points) == 3
+        knee = analyze_window_sweep(
+            [{"result": point} for point in points]).to_dict()
         assert knee["knee_window"] in (1, 2, 4)
         assert knee["plateau_accepted_load"] > 0
 
