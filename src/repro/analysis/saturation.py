@@ -21,6 +21,7 @@ __all__ = [
     "detect_saturation",
     "analyze_load_sweep",
     "fault_count",
+    "fault_degradation_table",
     "group_load_sweep_runs",
     "load_sweep_table",
     "load_sweep_tables",
@@ -220,6 +221,40 @@ def load_sweep_table(
     return f"{header}{table}\n{curve}: {verdict}"
 
 
+def fault_degradation_table(
+    runs: Iterable[Mapping[str, object]],
+    title: str = "",
+) -> str:
+    """One row per fault count: the degradation view of a fault sweep.
+
+    ``runs`` are the faulted points of one (pattern, routing) curve,
+    one point per fault count (``fault-sweep-*`` sweeps hold the
+    offered load fixed and vary the number of dead cables).  The
+    closing line compares the accepted load at the fewest and the most
+    faults.
+    """
+    rows = []
+    for run in runs:
+        extracted = _point_from_run(run)
+        if extracted is not None:
+            rows.append((fault_count(run) or 0, *extracted))
+    if not rows:
+        raise ValueError("no completed load-sweep points in these runs")
+    rows.sort(key=lambda row: row[0])
+    table = format_table(
+        ("faults", "offered load", "mean latency ns", "accepted load"),
+        [[f"{faults:d}", f"{load:.3f}", f"{latency:.1f}", f"{accepted:.3f}"]
+         for faults, load, latency, accepted, __, __unused in rows])
+    first, last = rows[0], rows[-1]
+    pattern, routing = first[4], first[5]
+    curve = f"{pattern}/{routing}" if routing else pattern
+    verdict = f"accepted load {first[3]:.3f} at {first[0]} faults"
+    if len(rows) > 1:
+        verdict += f" -> {last[3]:.3f} at {last[0]} faults"
+    header = f"{title}\n" if title else ""
+    return f"{header}{table}\n{curve}: {verdict}"
+
+
 def load_sweep_tables(
     runs: Iterable[Mapping[str, object]],
     latency_multiple: float = DEFAULT_LATENCY_MULTIPLE,
@@ -230,19 +265,40 @@ def load_sweep_tables(
     Groups the runs with :func:`group_load_sweep_runs` and renders one
     :func:`load_sweep_table` per curve — the report format for
     ``route-ablation-*`` sweeps, which mix adversarial patterns on
-    purpose, and ``fault-sweep-*`` sweeps, whose curves are named by
-    fault count.  Raises ``ValueError`` when no group yields any points.
+    purpose.  Faulted points measured at a single offered load per
+    fault count (``fault-sweep-*`` sweeps) render as one
+    :func:`fault_degradation_table` per (pattern, routing) instead, the
+    fault count as its row axis.  Raises ``ValueError`` when no group
+    yields any points.
     """
     groups = group_load_sweep_runs(runs)
     if not groups:
         raise ValueError("no completed load-sweep points in these runs")
+    faulted: Dict[Tuple[str, str], List[Mapping[str, object]]] = {}
+    for (pattern, routing, faults), members in groups.items():
+        if faults is not None:
+            faulted.setdefault((pattern, routing), []).extend(members)
+    degraded = {
+        curve: members for curve, members in faulted.items()
+        if len(members) == len({fault_count(run) for run in members})}
     tables = []
-    for key in sorted(groups, key=lambda k: (k[0], k[1], k[2] or 0)):
+    for key, members in groups.items():
         pattern, routing, faults = key
+        if faults is not None and (pattern, routing) in degraded:
+            continue
         curve = f"{pattern}/{routing}" if routing else pattern
         if faults is not None:
             curve = f"{curve}, {faults} faults"
         label = f"{title} [{curve}]" if title else curve
-        tables.append(load_sweep_table(groups[key], latency_multiple,
-                                       title=label))
-    return "\n\n".join(tables)
+        tables.append(((pattern, routing, faults or 0, 0),
+                       load_sweep_table(members, latency_multiple,
+                                        title=label)))
+    for (pattern, routing), members in degraded.items():
+        curve = f"{pattern}/{routing}" if routing else pattern
+        label = f"{curve} by fault count"
+        label = f"{title} [{label}]" if title else label
+        fewest = min(fault_count(run) for run in members)
+        tables.append(((pattern, routing, fewest, 1),
+                       fault_degradation_table(members, title=label)))
+    tables.sort(key=lambda item: item[0])
+    return "\n\n".join(table for __, table in tables)

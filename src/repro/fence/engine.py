@@ -102,6 +102,9 @@ class FenceEngine:
         self._active_fences: set = set()
         self._next_fence_id = 0
         self._on_complete: Dict[int, Callable[[Coord, float], None]] = {}
+        # Live fence distances per source, valid for one fault epoch.
+        self._distances: Dict[Coord, Dict[Coord, int]] = {}
+        self._distances_epoch = -1
         self._bind_handlers()
 
     def _bind_handlers(self) -> None:
@@ -189,7 +192,7 @@ class FenceEngine:
             return torus.dims.diameter
         diameter = 0
         for source in torus.nodes():
-            dist = self._live_fence_distances(source)
+            dist = self._fence_distances(source, state.epoch)
             if len(dist) < torus.dims.num_nodes:
                 raise FenceDomainError(
                     f"fence domain partitioned: {source} cannot reach "
@@ -256,7 +259,7 @@ class FenceEngine:
                 f"{sorted(state.dead_nodes)} cannot join a {hops}-hop "
                 f"barrier")
         for source in torus.nodes():
-            dist = self._live_fence_distances(source)
+            dist = self._fence_distances(source, state.epoch)
             for member in torus.nodes_within(source, hops):
                 if dist.get(member, hops + 1) > hops:
                     raise FenceDomainError(
@@ -264,6 +267,19 @@ class FenceEngine:
                         f"{hops} torus hops of {source} but "
                         f"{'unreachable' if member not in dist else f'{dist[member]} live hops away'} "
                         f"over the surviving links")
+
+    def _fence_distances(self, source: Coord,
+                         epoch: int) -> Dict[Coord, int]:
+        """:meth:`_live_fence_distances` from ``source``, computed once
+        per fault epoch: only a fault-state change can move them."""
+        if epoch != self._distances_epoch:
+            self._distances.clear()
+            self._distances_epoch = epoch
+        dist = self._distances.get(source)
+        if dist is None:
+            dist = self._distances[source] = self._live_fence_distances(
+                source)
+        return dist
 
     def _live_fence_distances(self, source: Coord) -> Dict[Coord, int]:
         """BFS hop distances from ``source`` over fence-capable links."""

@@ -106,15 +106,12 @@ class ChipNetwork(CoreNetworkHost):
                                 plan_egress=self._plan_egress)
                 self.edges[side].attach_ra(row, ra)
                 # Named "{ra.name}->core" by add_output.
-                to_core = Link(
-                    sim, None, latency_ns=0.0,
-                    ser_ns_per_flit=ser, vcs=2, credit_flits=8,
-                    target=self.core.router(core_u, row), in_port="RA")
-                ra.add_output("core", to_core)
+                ra.add_output("core", Link(
+                    sim, None, 0.0, ser, 2, 8,
+                    self.core.router(core_u, row), "RA"))
                 core_to_ra = Link(
-                    sim, f"core({core_u},{row})->{ra.name}", latency_ns=0.0,
-                    ser_ns_per_flit=ser, vcs=2, credit_flits=8,
-                    target=ra, in_port="core")
+                    sim, f"core({core_u},{row})->{ra.name}", 0.0, ser, 2, 8,
+                    ra, "core")
                 self.core.attach_ra(core_u, row, core_to_ra)
                 self.row_adapters[(side, row)] = ra
 
@@ -159,7 +156,7 @@ class ChipNetwork(CoreNetworkHost):
         """A GC issues a packet: software overhead, then TRTR injection."""
         packet.injected_ns = self._sim.now
         self.injected_counts[packet.traffic_class] += 1
-        delay = self.params.cycles(self.params.gc_send_overhead_cycles)
+        delay = self.params.send_overhead_ns
         if self.observer is not None:
             self.observer.on_inject(self, packet, delay)
         self._sim.after(delay, lambda: self.core.inject(packet,
@@ -167,8 +164,7 @@ class ChipNetwork(CoreNetworkHost):
 
     def _deliver_to_gc(self, packet: Packet) -> None:
         """Final TRTR ejection plus SRAM commit for an arriving packet."""
-        params = self.params
-        delay = params.cycles(params.trtr_cycles + params.sram_write_cycles)
+        delay = self.params.delivery_ns
 
         def commit() -> None:
             endpoint = self.gc(packet.dst_core)

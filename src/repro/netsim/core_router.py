@@ -17,11 +17,11 @@ router built with the same :class:`~repro.netsim.params.LatencyParams`.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Callable, Dict, Mapping, Optional, Tuple
 
 from ..engine.simulator import Simulator
-from .fabric import Link, Router
+from .fabric import Link, PortSlots, Router
 from .packet import CoreAddress, Packet, TrafficClass
 from .params import LatencyParams
 
@@ -53,35 +53,57 @@ def _pipeline_table(params: LatencyParams) -> Mapping[str, float]:
             "RA": params.cycles(params.ra_cycles)}
 
 
+#: Mesh output port -> the (u, v) step to the neighbour it leads to.
+_MESH_STEPS = {"U+": (1, 0), "U-": (-1, 0), "V+": (0, 1), "V-": (0, -1)}
+
+
 class CoreRouter(Router):
     """One tile's router; composed of URTR, VRTR and TRTR roles.
 
     Output ports: ``U+``, ``U-``, ``V+``, ``V-`` toward neighbor tiles and
     ``RA`` toward the edge network (only on edge-adjacent columns).  Local
-    sinks ``gc0``/``gc1`` deliver to the tile's Geometry Cores.
+    sinks ``gc0``/``gc1`` deliver to the tile's Geometry Cores.  The four
+    mesh links are built on first use; the name is formatted when read.
 
     The ``in_port`` on arrival is the direction of travel (e.g. a packet
     sent out ``U+`` arrives with ``in_port == "U+"``), which determines
     the sub-router traversed and hence the pipeline charge.
     """
 
-    __slots__ = ("u", "v", "_chip")
+    _PORTS = PortSlots({"U+": "_u_plus", "U-": "_u_minus",
+                        "V+": "_v_plus", "V-": "_v_minus", "RA": "_ra"})
+    __slots__ = ("u", "v", "_net", *_PORTS.values())
 
-    def __init__(self, sim: Simulator, name: str, u: int, v: int,
-                 chip: "CoreNetworkHost", pipeline: Mapping[str, float],
+    def __init__(self, sim: Simulator, u: int, v: int, net: "CoreNetwork",
+                 pipeline: Mapping[str, float],
                  sinks: Mapping[str, Callable[[Packet], None]]) -> None:
-        super().__init__(sim, name, pipeline, sinks)
+        super().__init__(sim, None, pipeline, sinks)
         self.u = u
         self.v = v
-        self._chip = chip
+        self._net = net
+        # The mesh slots are read before their links exist: an empty
+        # slot reads as None, an unset one raises (and that costs).
+        self._u_plus = self._u_minus = self._v_plus = self._v_minus = None
+
+    @property
+    def name(self) -> str:
+        return f"core({self.u},{self.v})@{self._net.tag}"
+
+    def _new_output(self, port: str) -> Optional[Link]:
+        step = _MESH_STEPS.get(port)
+        if step is None:
+            return None
+        return self._net.mesh_link((self.u + step[0], self.v + step[1]),
+                                   port)
 
     def route(self, packet: Packet, vc: int,
               in_port: str) -> Tuple[str, str, Optional[int]]:
         out_vc = core_vc(packet)
-        if packet.dst_node == self._chip.coord:
+        net = self._net
+        if packet.dst_node == net.coord:
             return self._route_local(packet, out_vc)
         # Remote destination: U-only travel toward the exit edge.
-        exit_u = self._chip.exit_column(packet)
+        exit_u = net.exit_column(packet)
         if self.u == exit_u:
             return ("link", "RA", out_vc)
         return ("link", "U+" if exit_u > self.u else "U-", out_vc)
@@ -97,7 +119,8 @@ class CoreRouter(Router):
 
 
 class CoreNetworkHost:
-    """Interface the CoreRouters need from their chip."""
+    """Interface the Core Network needs from its chip (read once, at
+    build, and handed to its routers)."""
 
     coord: Tuple[int, int, int]
 
@@ -109,7 +132,9 @@ class CoreNetwork:
     """The 24x12 mesh of Core Routers on one chip.
 
     ``gc_sinks`` maps ``gc0``/``gc1`` to the delivery handlers; every
-    router of the mesh shares the one map.
+    router of the mesh shares the one map.  The mesh links are built on
+    their first use from what the network holds once: the serialization
+    time per flit, the VC count and the credit depth.
     """
 
     def __init__(self, sim: Simulator, chip: CoreNetworkHost,
@@ -121,26 +146,25 @@ class CoreNetwork:
         self._sim = sim
         self.cols = cols
         self.rows = rows
-        self.routers: Dict[Tuple[int, int], CoreRouter] = {}
+        self.coord = chip.coord
+        self.exit_column = chip.exit_column
+        self.tag = tag or str(chip.coord)
+        # Every mesh link differs only in its target and in_port; one
+        # flit per cycle on mesh channels.
+        self._link = partial(Link, sim, None, 0.0, params.cycle_ns, vcs,
+                             credit_flits)
         pipeline = _pipeline_table(params)
-        for u in range(cols):
-            for v in range(rows):
-                name = f"core({u},{v})@{tag or chip.coord}"
-                self.routers[(u, v)] = CoreRouter(sim, name, u, v, chip,
-                                                  pipeline, gc_sinks)
-        ser = params.cycle_ns  # one flit per cycle on mesh channels
-        for (u, v), router in self.routers.items():
-            for port, (nu, nv) in (("U+", (u + 1, v)), ("U-", (u - 1, v)),
-                                   ("V+", (u, v + 1)), ("V-", (u, v - 1))):
-                neighbor = self.routers.get((nu, nv))
-                if neighbor is None:
-                    continue
-                # Nameless: add_output names it "{router.name}->{port}".
-                link = Link(
-                    sim, None, latency_ns=0.0,
-                    ser_ns_per_flit=ser, vcs=vcs, credit_flits=credit_flits,
-                    target=neighbor, in_port=port)
-                router.add_output(port, link)
+        self.routers: Dict[Tuple[int, int], CoreRouter] = {
+            (u, v): CoreRouter(sim, u, v, self, pipeline, gc_sinks)
+            for u in range(cols) for v in range(rows)}
+
+    def mesh_link(self, at: Tuple[int, int], port: str) -> Optional[Link]:
+        """A nameless link toward the router at ``at``, arriving on
+        ``port``; ``None`` past the mesh edge."""
+        neighbor = self.routers.get(at)
+        if neighbor is None:
+            return None
+        return self._link(neighbor, port)
 
     def router(self, u: int, v: int) -> CoreRouter:
         return self.routers[(u, v)]

@@ -21,13 +21,13 @@ the particle cache and INZ codecs (modeled for traffic accounting in
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Callable, Dict, Mapping, Optional, Tuple
 
 from ..engine.simulator import Simulator
 from ..topology.torus import DIRECTIONS, direction_name
 from .core_router import core_vc
-from .fabric import FabricError, Link, Router
+from .fabric import FabricError, Link, PortSlots, Router
 from .packet import Packet, RESPONSE_VC, TrafficClass, request_vc
 from .params import LatencyParams
 
@@ -101,16 +101,45 @@ class EdgeTarget:
     exit_port: str
 
 
+#: Mesh output port -> the (col, row) step to the neighbour it leads to.
+_MESH_STEPS = {"E": (1, 0), "W": (-1, 0), "N": (0, 1), "S": (0, -1)}
+
+
 class EdgeRouter(Router):
-    """One ERTR at (col, row) of an Edge Network."""
+    """One ERTR at (col, row) of an Edge Network.
 
-    __slots__ = ("col", "row")
+    Output ports: ``E``/``W``/``N``/``S`` toward mesh neighbours (built
+    on first use), ``RA`` on the inner column and one ``CA:<dir>`` on
+    the outer column.  The name is formatted when read.
+    """
 
-    def __init__(self, sim: Simulator, name: str, col: int, row: int,
-                 pipeline: Mapping[str, float]) -> None:
-        super().__init__(sim, name, pipeline)
+    _PORTS = PortSlots({"E": "_east", "W": "_west", "N": "_north",
+                        "S": "_south", "RA": "_ra",
+                        **{port: f"_ca{i}"
+                           for i, port in enumerate(CA_PORTS.values())}})
+    __slots__ = ("col", "row", "_net", *_PORTS.values())
+
+    def __init__(self, sim: Simulator, col: int, row: int,
+                 net: "EdgeNetwork", pipeline: Mapping[str, float]) -> None:
+        super().__init__(sim, None, pipeline)
         self.col = col
         self.row = row
+        self._net = net
+        # The mesh slots are read before their links exist: an empty
+        # slot reads as None, an unset one raises (and that costs).
+        self._east = self._west = self._north = self._south = None
+
+    @property
+    def name(self) -> str:
+        net = self._net
+        return f"ertr{net.side}({self.col},{self.row})@{net.node_tag}"
+
+    def _new_output(self, port: str) -> Optional[Link]:
+        step = _MESH_STEPS.get(port)
+        if step is None:
+            return None
+        return self._net.mesh_link((self.col + step[0], self.row + step[1]),
+                                   port)
 
     def route(self, packet: Packet, vc: int,
               in_port: str) -> Tuple[str, str, Optional[int]]:
@@ -139,7 +168,8 @@ class RowAdapter(Router):
     path through the Edge Network (exit channel choice happens here).
     """
 
-    __slots__ = ("row", "_plan_egress")
+    _PORTS = PortSlots({"edge": "_edge", "core": "_core"})
+    __slots__ = ("row", "_plan_egress", *_PORTS.values())
 
     def __init__(self, sim: Simulator, name: str, row: int,
                  pipeline: Mapping[str, float],
@@ -171,8 +201,9 @@ class ChannelAdapter(Router):
     until the first arrives.
     """
 
+    _PORTS = PortSlots({"edge": "_edge", "channel": "_channel"})
     __slots__ = ("direction", "slice_index", "_plan_ingress",
-                 "channel_arrivals")
+                 "channel_arrivals", *_PORTS.values())
 
     def __init__(self, sim: Simulator, name: str,
                  direction: Tuple[int, int], slice_index: int,
@@ -201,7 +232,11 @@ class ChannelAdapter(Router):
 
 
 class EdgeNetwork:
-    """One side's 3x12 mesh of Edge Routers with its RAs and CAs."""
+    """One side's 3x12 mesh of Edge Routers with its RAs and CAs.
+
+    The mesh links are built on their first use, like the Core
+    Network's; the RA and CA links are wired here.
+    """
 
     def __init__(self, sim: Simulator, side: str, node_tag: str,
                  params: LatencyParams, rows: int = 12,
@@ -209,6 +244,7 @@ class EdgeNetwork:
                  direction_rows: Optional[Dict[Tuple[int, int], int]] = None) -> None:
         self._sim = sim
         self.side = side
+        self.node_tag = node_tag
         self.rows = rows
         # Full link VC budget (escape + response + adaptive) unless the
         # caller narrows it: packets keep their VC across the edge mesh.
@@ -221,31 +257,28 @@ class EdgeNetwork:
             raise FabricError("direction rows do not fit this Edge Network")
         self.direction_rows = dict(direction_rows)
         self._ser = params.cycle_ns  # one flit per cycle on mesh channels
-        self.routers: Dict[Tuple[int, int], EdgeRouter] = {}
+        # Every mesh link differs only in its target and in_port.
+        self._link = partial(Link, sim, None, 0.0, self._ser, vcs,
+                             credit_flits)
         pipeline = _pipeline_tables(params)["EdgeRouter"]
-        for col in range(3):
-            for row in range(rows):
-                name = f"ertr{side}({col},{row})@{node_tag}"
-                self.routers[(col, row)] = EdgeRouter(sim, name, col, row,
-                                                      pipeline)
-        for (col, row), router in self.routers.items():
-            for port, (ncol, nrow) in (("E", (col + 1, row)),
-                                       ("W", (col - 1, row)),
-                                       ("N", (col, row + 1)),
-                                       ("S", (col, row - 1))):
-                neighbor = self.routers.get((ncol, nrow))
-                if neighbor is None:
-                    continue
-                self._connect(router, port, neighbor, port, vcs, credit_flits)
+        self.routers: Dict[Tuple[int, int], EdgeRouter] = {
+            (col, row): EdgeRouter(sim, col, row, self, pipeline)
+            for col in range(3) for row in range(rows)}
+
+    def mesh_link(self, at: Tuple[int, int], port: str) -> Optional[Link]:
+        """A nameless link toward the router at ``at``, arriving on
+        ``port``; ``None`` past the mesh edge."""
+        neighbor = self.routers.get(at)
+        if neighbor is None:
+            return None
+        return self._link(neighbor, port)
 
     def _connect(self, source: Router, port: str, target: Router,
                  in_port: str, vcs: int, credit_flits: int) -> None:
         """Wire ``source``'s output ``port`` to ``target``'s ``in_port``;
         the link is named ``"{source.name}->{port}"``."""
-        source.add_output(port, Link(
-            self._sim, None, latency_ns=0.0, ser_ns_per_flit=self._ser,
-            vcs=vcs, credit_flits=credit_flits, target=target,
-            in_port=in_port))
+        source.add_output(port, Link(self._sim, None, 0.0, self._ser, vcs,
+                                     credit_flits, target, in_port))
 
     def router(self, col: int, row: int) -> EdgeRouter:
         return self.routers[(col, row)]

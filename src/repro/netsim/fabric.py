@@ -17,7 +17,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from typing import Callable, Deque, Dict, List, Mapping, Optional, Tuple
+from typing import Callable, Deque, List, Mapping, Optional, Tuple
 
 from ..engine.simulator import Simulator
 from .packet import Packet
@@ -68,6 +68,7 @@ class Link:
     A link built with ``name=None`` takes its name from the router that
     adds it as an output: :attr:`name` is then ``"{router.name}->{port}"``,
     formatted when read, so no link stores a name string of its own.
+    Mesh links are built on their first use (:meth:`Router.output`).
 
     Attributes:
         name: Debug name, printed by observe artifacts and diagnoses.
@@ -91,7 +92,7 @@ class Link:
                  target: "Router", in_port: str = "") -> None:
         self._sim = sim
         # The whole name, or (once a router adds a nameless link as its
-        # output) that router's name, with the output port in ``_port``.
+        # output) that router, with the output port in ``_port``.
         self._name = name
         self._port: Optional[str] = None
         self.latency_ns = latency_ns
@@ -119,7 +120,7 @@ class Link:
         with."""
         if self._port is None:
             return self._name
-        return f"{self._name}->{self._port}"
+        return f"{self._name.name}->{self._port}"
 
     def send(self, packet: Packet, vc: int, upstream: Optional["Link"] = None,
              upstream_vc: int = 0) -> None:
@@ -340,6 +341,21 @@ class Link:
 _NO_SINKS: Mapping[str, Callable[[Packet], None]] = {}
 
 
+class PortSlots(dict):
+    """Output port -> the attribute that holds its link.
+
+    A router class names one slot per output port it can have.  Any
+    other port maps to ``"->{port}"``, an attribute only a router with
+    an instance dict can hold (a slotted router raises "no output
+    port" for it).
+    """
+
+    __slots__ = ()
+
+    def __missing__(self, port: str) -> str:
+        return "->" + port
+
+
 class Router:
     """Base class: pipeline delay, subclass routing, credit bookkeeping.
 
@@ -351,33 +367,48 @@ class Router:
     packet arriving on it is charged.  It is read, never written, so one
     table per router class and :class:`~repro.netsim.params.LatencyParams`
     serves every router; so can one ``sinks`` map (``add_sink`` copies).
+
+    Each output link sits in a slot of its own, named by the class's
+    ``_PORTS``; a port whose slot is empty has no link yet.  A subclass
+    whose links can be built on demand (the mesh neighbours of a Core
+    or Edge Router) overrides :meth:`_new_output`, and :meth:`output`
+    builds such a link the first time it is asked for it.
     """
 
-    __slots__ = ("_sim", "name", "_pipeline", "_out", "_sinks",
-                 "packets_routed")
+    __slots__ = ("_sim", "_name", "_pipeline", "_sinks", "packets_routed")
 
-    def __init__(self, sim: Simulator, name: str,
+    _PORTS: PortSlots = PortSlots()
+
+    def __init__(self, sim: Simulator, name: Optional[str],
                  pipeline: Mapping[str, float],
                  sinks: Mapping[str, Callable[[Packet], None]] = _NO_SINKS
                  ) -> None:
         self._sim = sim
-        self.name = name
+        self._name = name
         self._pipeline = pipeline
-        self._out: Dict[str, Link] = {}
         self._sinks = sinks
         self.packets_routed = 0
+
+    @property
+    def name(self) -> str:
+        return self._name
 
     # -- wiring ----------------------------------------------------------
 
     def add_output(self, port: str, link: Link) -> None:
         """Wire ``link`` to output ``port``; a link built without a name
         is named ``"{self.name}->{port}"`` from now on."""
-        if port in self._out:
+        attr = self._PORTS[port]
+        if getattr(self, attr, None) is not None:
             raise FabricError(f"{self.name}: duplicate output port {port}")
+        try:
+            setattr(self, attr, link)
+        except AttributeError:
+            raise FabricError(
+                f"{self.name}: no output port {port!r}") from None
         if link._name is None:
-            link._name = self.name
+            link._name = self
             link._port = port
-        self._out[port] = link
 
     def add_sink(self, port: str, handler: Callable[[Packet], None]) -> None:
         if port in self._sinks:
@@ -385,21 +416,37 @@ class Router:
         self._sinks = {**self._sinks, port: handler}
 
     def output(self, port: str) -> Link:
-        try:
-            return self._out[port]
-        except KeyError:
-            raise FabricError(
-                f"{self.name}: no output port {port!r}; "
-                f"have {sorted(self._out)}") from None
+        """The link wired to ``port``, built now if it is a mesh link
+        not used before."""
+        attr = self._PORTS[port]
+        return getattr(self, attr, None) or self._build_output(attr, port)
 
     def output_or_none(self, port: str) -> Optional[Link]:
-        """The link wired to ``port``, or ``None`` before wiring.
+        """The link wired to ``port``, or ``None`` before wiring (or,
+        for a mesh link, before its first use).
 
         For observers (statistics, congestion probes) that must tolerate
         partially wired fabrics without the FabricError of
-        :meth:`output`.
+        :meth:`output`, and must not build links.
         """
-        return self._out.get(port)
+        return getattr(self, self._PORTS[port], None)
+
+    def _new_output(self, port: str) -> Optional[Link]:
+        """A nameless link for ``port`` built on demand, or ``None`` when
+        this router has no such port.  Building one schedules nothing and
+        draws no random number, so it changes no result."""
+        return None
+
+    def _build_output(self, attr: str, port: str) -> Link:
+        """Build and wire the link of ``port``, whose slot ``attr`` is
+        empty, naming it ``"{self.name}->{port}"``."""
+        link = self._new_output(port)
+        if link is None:
+            raise FabricError(f"{self.name}: no output port {port!r}")
+        setattr(self, attr, link)
+        link._name = self
+        link._port = port
+        return link
 
     # -- pipeline ---------------------------------------------------------
 
@@ -428,7 +475,8 @@ class Router:
                 raise FabricError(f"{self.name}: no sink {port!r}")
             handler(packet)
             return
-        link = self.output(port)
+        attr = self._PORTS[port]
+        link = getattr(self, attr, None) or self._build_output(attr, port)
         # ``link`` returns the credits to ``from_link`` once it accepts.
         link.send(packet, out_vc if out_vc is not None else vc, from_link, vc)
 

@@ -104,9 +104,7 @@ class NetworkMachine:
                     link = Link(
                         self.sim,
                         f"chan{coord}->{neighbor_coord}[{axis},{sign}]s{slice_index}",
-                        latency_ns=latency, ser_ns_per_flit=ser,
-                        vcs=params.link_vcs, credit_flits=8,
-                        target=ca_in, in_port="channel")
+                        latency, ser, params.link_vcs, 8, ca_in, "channel")
                     chip.attach_channel((axis, sign), slice_index, link)
 
     # ------------------------------------------------------------------

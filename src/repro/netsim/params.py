@@ -24,7 +24,13 @@ from .packet import ESCAPE_VCS, NUM_LINK_VCS, RESPONSE_VC
 
 @dataclass(frozen=True)
 class LatencyParams:
-    """Tunable latency model shared by the netsim and the analytic model."""
+    """Tunable latency model shared by the netsim and the analytic model.
+
+    Three delays are derived once per instance, bit-identical to
+    ``cycles(...)``: ``cycle_ns``, ``send_overhead_ns`` (a GC's issue
+    overhead before TRTR injection) and ``delivery_ns`` (TRTR ejection
+    plus the SRAM commit).
+    """
 
     clock_ghz: float = 2.80
 
@@ -82,6 +88,15 @@ class LatencyParams:
                 "adaptive_vcs must be >= 1: adaptive-escape packets "
                 "ride the fixed adaptive VC id "
                 f"{NUM_LINK_VCS - 1}")
+        # Derived once: the hot paths read these per packet.  Not
+        # fields, so equality, hashing and ``replace`` ignore them.
+        cycle_ns = 1.0 / self.clock_ghz
+        for name, value in (
+                ("cycle_ns", cycle_ns),
+                ("send_overhead_ns", self.gc_send_overhead_cycles * cycle_ns),
+                ("delivery_ns", (self.trtr_cycles + self.sram_write_cycles)
+                 * cycle_ns)):
+            object.__setattr__(self, name, value)
 
     # Fence engine (see repro.fence): internal edge-network multicast and
     # merge time added at each torus hop of a fence wavefront, plus the
@@ -94,10 +109,6 @@ class LatencyParams:
         """VCs on every channel and edge-network link (escape map +
         response + adaptive); must cover repro.netsim.packet's VC ids."""
         return self.escape_vcs + self.response_vcs + self.adaptive_vcs
-
-    @property
-    def cycle_ns(self) -> float:
-        return 1.0 / self.clock_ghz
 
     def cycles(self, n: int) -> float:
         return n * self.cycle_ns

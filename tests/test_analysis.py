@@ -19,6 +19,7 @@ from repro.analysis import (
     grouped_percentile_table,
     grouped_percentiles,
     load_sweep_table,
+    load_sweep_tables,
     percentile,
     phase_loop_table,
     render_ascii,
@@ -260,6 +261,49 @@ class TestSaturation:
         assert "saturation at offered load" in text
         flat = load_sweep_table([_load_run(0.1, 100.0)])
         assert "no saturation" in flat
+
+
+def _fault_run(faults, mean_latency, accepted, load=1.0):
+    run = _load_run(load, mean_latency, accepted=accepted)
+    run["params"]["num_faults"] = faults
+    return run
+
+
+class TestFaultDegradation:
+    def test_fault_sweep_is_one_table_by_fault_count(self):
+        runs = [_fault_run(4, 400.0, 0.6), _fault_run(0, 200.0, 0.8),
+                _fault_run(12, 300.0, 0.4)]
+        text = load_sweep_tables(runs, title="fault-sweep")
+        lines = text.splitlines()
+        assert lines[0] == "fault-sweep [uniform by fault count]"
+        assert lines[1].split() == ["faults", "offered", "load", "mean",
+                                    "latency", "ns", "accepted", "load"]
+        assert [line.split() for line in lines[3:6]] == [
+            ["0", "1.000", "200.0", "0.800"],
+            ["4", "1.000", "400.0", "0.600"],
+            ["12", "1.000", "300.0", "0.400"]]
+        assert lines[6] == ("uniform: accepted load 0.800 at 0 faults "
+                            "-> 0.400 at 12 faults")
+        assert len(lines) == 7
+
+    def test_healthy_curves_keep_their_tables(self):
+        healthy = [_load_run(0.1, 100.0), _load_run(0.9, 500.0, accepted=0.6)]
+        mixed = healthy + [_fault_run(0, 200.0, 0.8),
+                           _fault_run(4, 400.0, 0.6)]
+        alone = load_sweep_tables(healthy, title="t")
+        assert alone == load_sweep_table(healthy, title="t [uniform]")
+        text = load_sweep_tables(mixed, title="t")
+        assert text.startswith(alone + "\n\n")
+        assert "[uniform by fault count]" in text
+
+    def test_faulted_load_sweeps_stay_curves(self):
+        """Several offered loads per fault count are latency-vs-load
+        curves, one table per fault count."""
+        runs = [_fault_run(2, 100.0, 0.1, load=0.1),
+                _fault_run(2, 500.0, 0.6, load=0.9)]
+        text = load_sweep_tables(runs)
+        assert text.splitlines()[0] == "uniform, 2 faults"
+        assert "by fault count" not in text
 
 
 class TestSaturationEdgeCases:

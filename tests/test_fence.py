@@ -243,6 +243,38 @@ class TestFenceDomains:
         faulted_latency = FenceEngine(machine).barrier_latency(2)
         assert faulted_latency >= FenceEngine(healthy).barrier_latency(2)
 
+    def test_live_distances_computed_once_per_fault_epoch(self,
+                                                          monkeypatch):
+        """Fences in one fault epoch reuse one BFS per source; a flap's
+        restore starts a new epoch, and the next fence recomputes."""
+        calls = []
+        original = FenceEngine._live_fence_distances
+
+        def counted(engine, source):
+            calls.append(source)
+            return original(engine, source)
+
+        monkeypatch.setattr(FenceEngine, "_live_fence_distances", counted)
+        machine = faulted_fence_machine(FaultSchedule((
+            FaultEvent(kind="dead-link", node=(1, 1, 1), axis=1),
+            FaultEvent(kind="flap", node=(0, 0, 0), axis=0, time_ns=0.0,
+                       restore_ns=50.0),
+        )))
+        engine = FenceEngine(machine)
+        nodes = machine.torus.dims.num_nodes
+        hops = engine.live_diameter()
+        assert len(calls) == nodes
+        epoch = machine.fault_state.epoch
+        engine.start_fence(hops)
+        engine.start_fence(hops)
+        assert len(calls) == nodes
+        machine.run()
+        assert machine.fault_state.epoch > epoch  # the flap came back
+        assert engine.barrier_latency(hops) > 0
+        assert len(calls) == 2 * nodes
+        assert engine.barrier_latency(hops) > 0
+        assert len(calls) == 2 * nodes
+
     def test_pair_beyond_round_budget_detected(self):
         # Strip (0, 0, 0) down to a single live cable (toward (1, 0, 0)):
         # its torus-1-hop neighbors are now 3 live hops away, so a 1-hop

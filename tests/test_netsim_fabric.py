@@ -8,12 +8,14 @@ from collections import Counter
 import pytest
 
 from repro.engine import Simulator
+from repro.faults import FaultEvent, FaultSchedule
 from repro.netsim import (CoreAddress, MachineConfig, NetworkMachine, Packet,
                           PacketKind, TrafficClass)
 from repro.netsim.fabric import FabricError, Link, Router
 from repro.runner.cache import canonicalize, config_digest
 from repro.traffic import OpenLoopHarness
 from repro.traffic.patterns import make_pattern
+from repro.workload import PhaseLoopHarness, md_timestep_phases
 
 
 def make_packet(num_flits=1):
@@ -187,6 +189,33 @@ def _record_links(monkeypatch):
     return links
 
 
+def _routers(machine):
+    """Every router of ``machine``, chip by chip."""
+    return [router for chip in machine.chips.values()
+            for router in (*chip.core.routers.values(),
+                           *(router for edge in chip.edges.values()
+                             for router in edge.routers.values()),
+                           *chip.row_adapters.values(),
+                           *chip.channel_adapters.values())]
+
+
+def _all_links(machine):
+    """Every link of ``machine``, found by forcing each router's ports: a
+    mesh link not used yet is built now."""
+    links = []
+    for router in _routers(machine):
+        for port in router._PORTS:
+            try:
+                links.append(router.output(port))
+            except FabricError:
+                pass  # a port this router does not have
+    return links
+
+
+#: Mesh output ports, built on their first use.
+_MESH_PORTS = ("U+", "U-", "V+", "V-", "E", "W", "N", "S")
+
+
 def _record_sends(monkeypatch):
     """How many sends each (link, VC) pair took."""
     sent = Counter()
@@ -308,7 +337,6 @@ class TestLazyQueues:
         """On a full-chip machine, exactly the (link, VC) pairs with a send
         that had to wait hold a queue once the run has drained; each of
         them carried a packet."""
-        links = _record_links(monkeypatch)
         waited = _record_waits(monkeypatch)
         sent = _record_sends(monkeypatch)
         machine = NetworkMachine(config=MachineConfig(
@@ -320,7 +348,8 @@ class TestLazyQueues:
         harness.run()
         assert all(count == 0 for count in
                    machine.in_flight_counts().values())
-        assert links
+        links = _all_links(machine)
+        assert len(links) == 5_760
         allocated = {(id(link), vc) for link in links
                      for vc in _allocated(link)}
         # Drained: every send was transmitted.
@@ -339,7 +368,8 @@ class TestLazyQueues:
 class TestLazyLinkState:
     """A link that never transmits costs only its wiring: its credits are
     a shared read-only tuple until its first transmit, it allocates no
-    queue until a send has to wait, and it stores no name string."""
+    queue until a send has to wait, and it stores no name string.  A
+    mesh link no packet has needed is not built at all."""
 
     def _link(self, sim, name="l", vcs=4):
         return Link(sim, name, 0.0, 1.0, vcs=vcs, credit_flits=8,
@@ -374,9 +404,9 @@ class TestLazyLinkState:
 
     def test_unused_machine_allocates_nothing_per_link(self, monkeypatch):
         """On a built, unused 2x2x2 full-chip machine no link owns a
-        GC-tracked object, and the whole build makes 1.6 tracked objects
-        per link: the link itself, and its share of the routers (each
-        with its output-port map) and chips."""
+        GC-tracked object, and the whole build makes 1.54 tracked
+        objects per router: the router itself, its share of the links
+        wired at build (RA, CA and channel links) and of the chips."""
         config = MachineConfig(dims=(2, 2, 2))
         NetworkMachine(config=config)  # warm: first-build imports
         links = _record_links(monkeypatch)
@@ -385,23 +415,23 @@ class TestLazyLinkState:
         machine = NetworkMachine(config=config)
         gc.collect()
         built = len(gc.get_objects()) - before
-        assert len(links) == 11_520
+        routers = _routers(machine)
+        assert len(routers) == 3_168
         owned = {id(obj) for link in links for obj in gc.get_referents(link)
                  if gc.is_tracked(obj)
-                 and obj not in (link._sim, link.target, Link)}
+                 and obj not in (link._sim, link.target, link._name, Link)}
         # Only the dead-VC set every healthy link shares.
         assert len(owned) == 1
-        assert built / len(links) == pytest.approx(1.60, abs=0.01)
+        assert built / len(routers) == pytest.approx(1.54, abs=0.01)
         assert machine.sim.events_processed == 0
 
-    def test_unused_machine_build_bytes_per_link(self, monkeypatch):
-        """An unused 2x2x2 full-chip build retains under 340 bytes per
-        link, its share of the routers and chips included (~314 today):
-        176 are the link object, and a name string per link would add
-        ~63 more."""
+    def test_unused_machine_build_bytes_per_router(self):
+        """An unused 2x2x2 full-chip build retains under 360 bytes per
+        router, its share of the eager links and the chips included
+        (~332 today, 1,112 when every mesh link was built with the
+        machine and each router held an output-port dict)."""
         config = MachineConfig(dims=(2, 2, 2))
         NetworkMachine(config=config)  # warm: first-build imports
-        links = _record_links(monkeypatch)
         gc.collect()
         tracemalloc.start()
         try:
@@ -410,9 +440,24 @@ class TestLazyLinkState:
             retained, __ = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert len(links) == 11_520
-        assert retained / len(links) < 340
+        assert retained / len(_routers(machine)) < 360
         assert machine.sim.events_processed == 0
+
+    def test_unused_machine_builds_no_mesh_link(self, monkeypatch):
+        """A build wires only the RA, CA and channel links (132 per full
+        chip); no core- or edge-mesh link exists until a packet needs it."""
+        links = _record_links(monkeypatch)
+        machine = NetworkMachine(config=MachineConfig(dims=(2, 2, 2)))
+        assert len(links) == 8 * 132
+        for router in _routers(machine):
+            for port in _MESH_PORTS:
+                if port in router._PORTS:
+                    assert router.output_or_none(port) is None
+        # Forcing every port builds the rest, each link once.
+        assert len(_all_links(machine)) == 11_520
+        assert len(links) == 11_520
+        assert len(_all_links(machine)) == 11_520
+        assert len(links) == 11_520
 
 
 #: SHA-256 of the sorted link and router names of a 2x2x2 machine of
@@ -436,17 +481,10 @@ class TestLinkNames:
         with pytest.raises(FabricError, match=r"^r->U\+: VC 3 out of range"):
             link.send(make_packet(), 3)
 
-    def test_full_chip_names_are_unique_and_pinned(self, monkeypatch):
-        links = _record_links(monkeypatch)
+    def test_full_chip_names_are_unique_and_pinned(self):
         machine = NetworkMachine(config=MachineConfig(dims=(2, 2, 2)))
-        link_names = [link.name for link in links]
-        routers = [router for chip in machine.chips.values()
-                   for router in (*chip.core.routers.values(),
-                                  *(router for edge in chip.edges.values()
-                                    for router in edge.routers.values()),
-                                  *chip.row_adapters.values(),
-                                  *chip.channel_adapters.values())]
-        router_names = [router.name for router in routers]
+        link_names = [link.name for link in _all_links(machine)]
+        router_names = [router.name for router in _routers(machine)]
         assert len(link_names) == 11_520 and len(router_names) == 3_168
         assert len(set(link_names)) == len(link_names)
         assert len(set(router_names)) == len(router_names)
@@ -471,12 +509,11 @@ class _NoOpMonitor:
 def _open_loop_run(monkeypatch, monitored):
     """(digest, events, waiting sends) of a 6x6-chip open loop, with a
     no-op monitor on every link when ``monitored``."""
-    links = _record_links(monkeypatch)
     waited = _record_waits(monkeypatch)
     machine = NetworkMachine(config=MachineConfig(
         dims=(2, 2, 2), chip_cols=6, chip_rows=6, seed=5))
     if monitored:
-        for link in links:
+        for link in _all_links(machine):
             link.monitor = _NoOpMonitor()
     harness = OpenLoopHarness(
         machine, make_pattern("uniform", machine.torus), 0.95, seed=5,
@@ -487,6 +524,61 @@ def _open_loop_run(monkeypatch, monitored):
     monkeypatch.undo()
     return (config_digest("fast-path", {"result": canonicalize(record)}),
             machine.sim.events_processed, len(waited))
+
+
+def _open_loop(machine):
+    return OpenLoopHarness(
+        machine, make_pattern("uniform", machine.torus), 0.5, seed=3,
+        read_fraction=0.25, warmup_ns=50.0, measure_ns=100.0,
+        drain_ns=2000.0).run()
+
+
+def _phase_loop(machine):
+    phases = md_timestep_phases(machine, messages_per_node=6, window=2,
+                                pattern="uniform", read_fraction=0.5)
+    return PhaseLoopHarness(machine, phases, seed=3).run(2)
+
+
+_DEAD_LINK = FaultSchedule((FaultEvent(kind="dead-link", node=(0, 0, 0),
+                                       axis=0),))
+
+#: name -> (machine overrides, workload run on it).
+_FIRST_USE_RUNS = {
+    "open-loop": ({}, _open_loop),
+    "phase-loop-reads-fences": ({"routing": "adaptive-escape"}, _phase_loop),
+    "faulted-open-loop": ({"dims": (3, 2, 2), "routing": "adaptive-escape",
+                           "faults": _DEAD_LINK}, _open_loop),
+}
+
+
+class TestLinksOnFirstUse:
+    def _run(self, monkeypatch, name, forced):
+        """(digest, events, links built) of one run; with ``forced`` every
+        link is built before the run starts."""
+        overrides, workload = _FIRST_USE_RUNS[name]
+        links = _record_links(monkeypatch)
+        config = dict(dims=(2, 2, 2), chip_cols=6, chip_rows=6, seed=3)
+        config.update(overrides)
+        machine = NetworkMachine(config=MachineConfig(**config))
+        if forced:
+            _all_links(machine)
+        record = canonicalize(workload(machine).to_dict())
+        monkeypatch.undo()
+        return (config_digest("first-use", {"result": record}),
+                machine.sim.events_processed, len(links))
+
+    @pytest.mark.parametrize("name", sorted(_FIRST_USE_RUNS))
+    def test_forcing_every_link_up_front_changes_nothing(self, monkeypatch,
+                                                         name):
+        """Building a link schedules no event, draws no random number and
+        starts with full credits, so building the mesh links on first use
+        gives the result of building them all with the machine."""
+        lazy = self._run(monkeypatch, name, forced=False)
+        forced = self._run(monkeypatch, name, forced=True)
+        assert lazy[:2] == forced[:2]
+        assert lazy[1] > 0
+        # The lazy run really left links unbuilt.
+        assert lazy[2] < forced[2]
 
 
 class TestIdleLinkFastPath:
