@@ -64,23 +64,6 @@ class Summary:
     def stddev(self) -> float:
         return math.sqrt(self.variance)
 
-    def merge(self, other: "Summary") -> None:
-        if other.count == 0:
-            return
-        if self.count == 0:
-            self.count = other.count
-            self._mean = other._mean
-            self._m2 = other._m2
-            self.min, self.max = other.min, other.max
-            return
-        total = self.count + other.count
-        delta = other._mean - self._mean
-        self._m2 += other._m2 + delta * delta * self.count * other.count / total
-        self._mean += delta * other.count / total
-        self.count = total
-        self.min = min(self.min, other.min)  # type: ignore[arg-type]
-        self.max = max(self.max, other.max)  # type: ignore[arg-type]
-
 
 class Histogram:
     """Fixed-width binned histogram over [lo, hi)."""

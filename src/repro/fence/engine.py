@@ -8,12 +8,14 @@ synchronizes all sources within k torus hops.
 
 The inter-node part of the fence is simulated with real fence packets
 crossing the real simulated channels: at every hop, each node re-emits a
-merged fence to all six neighbors on both channel slices and on every
-request VC ("fence packets are injected on all possible request-class
-VCs", Section V-C), and a node advances to round ``r + 1`` only once it
-has collected the full expected set of round-``r`` fences (the per-VC
-fence counters of the Edge Router, collapsed to one counter per
-(neighbor, slice, VC, round)).
+merged fence to all six neighbors on both channel slices, one copy per
+request VC, and a node advances to round ``r + 1`` only once it has
+collected the full expected set of round-``r`` fences (the per-VC fence
+counters of the Edge Router, collapsed to one counter per (neighbor,
+slice, VC, round)).  The copies are counted per request VC but all ride
+request VC 0: Section V-C injects them "on all possible request-class
+VCs", so here they share one VC's buffers instead of draining each VC
+behind the packets sent before the fence.
 
 The *intra-node* phases — merging the fence packets of all 576 GCs into
 the Edge Network, and multicasting the final fence back to the GCs with
@@ -322,7 +324,9 @@ class FenceEngine:
                                              slice_index):
                     continue  # fence-dead channel: neighbor won't count it
                 ca = chip.channel_adapter((axis, sign), slice_index)
-                for vc in range(self.request_vcs):
+                for __ in range(self.request_vcs):
+                    # Every copy rides request VC 0 (see the module
+                    # docstring).
                     packet = Packet(
                         kind=PacketKind.FENCE,
                         traffic_class=TrafficClass.REQUEST,
@@ -333,7 +337,8 @@ class FenceEngine:
                         dst_core=CoreAddress(0, 0, 0),
                         num_flits=1,
                         payload_words=(fence_id, round_index),
-                        slice_index=slice_index)
+                        slice_index=slice_index,
+                        edge_vc=0)
                     packet.injected_ns = self.machine.sim.now
                     ca.receive(packet, 0, "edge", None)
 

@@ -16,13 +16,14 @@ from .machine import NetworkMachine
 from .packet import (
     FLIT_BITS,
     HEADER_BITS,
+    NUM_LINK_VCS,
     PAYLOAD_BITS,
     RESPONSE_VC,
     CoreAddress,
     Packet,
     PacketKind,
     TrafficClass,
-    request_vc,
+    link_vc,
 )
 from .params import DEFAULT_PARAMS, LatencyParams
 from .pingpong import PingPongHarness, PingPongResult
@@ -48,13 +49,14 @@ __all__ = [
     "NetworkMachine",
     "FLIT_BITS",
     "HEADER_BITS",
+    "NUM_LINK_VCS",
     "PAYLOAD_BITS",
     "RESPONSE_VC",
     "CoreAddress",
     "Packet",
     "PacketKind",
     "TrafficClass",
-    "request_vc",
+    "link_vc",
     "DEFAULT_PARAMS",
     "LatencyParams",
     "PingPongHarness",

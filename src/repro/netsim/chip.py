@@ -22,7 +22,7 @@ from ..routing.policy import next_request_direction, note_hop
 from ..sync.blocking_read import BlockingReadPort
 from ..sync.sram import QuadSram
 from ..topology.torus import Coord, Torus3D
-from .core_router import CoreNetwork, CoreNetworkHost, core_vc
+from .core_router import CORE_VCS, CoreNetwork, CoreNetworkHost
 from .edge_router import (
     CA_PORTS,
     ChannelAdapter,
@@ -31,10 +31,16 @@ from .edge_router import (
     OUTER_COL,
     RowAdapter,
     _pipeline_tables,
-    edge_vc,
 )
-from .fabric import FabricError, Link
-from .packet import ADAPTIVE_VC, CoreAddress, Packet, PacketKind, TrafficClass
+from .fabric import INPUT_QUEUE_FLITS, FabricError, Link
+from .packet import (
+    ADAPTIVE_VC,
+    CoreAddress,
+    Packet,
+    PacketKind,
+    TrafficClass,
+    link_vc,
+)
 from .params import DEFAULT_PARAMS, LatencyParams
 
 SIDES = ("L", "R")  # slice 0 -> left edge, slice 1 -> right edge
@@ -107,11 +113,11 @@ class ChipNetwork(CoreNetworkHost):
                 self.edges[side].attach_ra(row, ra)
                 # Named "{ra.name}->core" by add_output.
                 ra.add_output("core", Link(
-                    sim, None, 0.0, ser, 2, 8,
+                    sim, None, 0.0, ser, CORE_VCS, INPUT_QUEUE_FLITS,
                     self.core.router(core_u, row), "RA"))
                 core_to_ra = Link(
-                    sim, f"core({core_u},{row})->{ra.name}", 0.0, ser, 2, 8,
-                    ra, "core")
+                    sim, f"core({core_u},{row})->{ra.name}", 0.0, ser,
+                    CORE_VCS, INPUT_QUEUE_FLITS, ra, "core")
                 self.core.attach_ra(core_u, row, core_to_ra)
                 self.row_adapters[(side, row)] = ra
 
@@ -204,7 +210,6 @@ class ChipNetwork(CoreNetworkHost):
             dst_core=request.src_core,
             num_flits=2,                    # header + 16-byte data payload
             payload_words=words,
-            dim_order=(0, 1, 2),            # responses are XYZ-only
             slice_index=request.slice_index,
             quad_addr=reply_quad)
         self.send(response)
@@ -232,8 +237,7 @@ class ChipNetwork(CoreNetworkHost):
         Responses are pinned here, not in any policy: mesh-restricted
         XYZ (Section III-B2), so no wraparound moves and a single
         response VC stays deadlock-free.  Requests resolve their
-        injection-time :class:`~repro.routing.policy.RoutePlan` (or the
-        legacy single-phase ``dim_order`` when no plan was attached);
+        injection-time :class:`~repro.routing.policy.RoutePlan`;
         adaptive plans re-select per hop against this chip's outgoing
         adaptive-VC credit/occupancy (:meth:`adaptive_vc_state`) with
         the chip RNG breaking score ties.
@@ -251,8 +255,7 @@ class ChipNetwork(CoreNetworkHost):
                 if delta:
                     return (axis, 1 if delta > 0 else -1)
             return None
-        plan = packet.route
-        if plan is not None and getattr(plan, "adaptive", False):
+        if packet.route.adaptive:
             return next_request_direction(packet, self.coord, self.torus,
                                           probe=self._adaptive_probe(packet),
                                           rng=self._rng, faults=adviser,
@@ -296,13 +299,18 @@ class ChipNetwork(CoreNetworkHost):
         return self.edges[SIDES[slice_index % 2]]
 
     def _plan_egress(self, packet: Packet) -> None:
-        """Called by the RA when a packet crosses into the Edge Network."""
+        """Called by the RA when a packet crosses into the Edge Network.
+
+        Plans the packet's next torus hop: its edge target and the link
+        VC every router rides it on until the next plan.
+        """
         direction = self.next_direction(packet)
         if direction is None:
             raise FabricError(
                 f"{self.coord}: packet {packet.pid} entered the edge "
                 "network with no remaining torus hops")
         self._note_torus_hop(packet, direction)
+        packet.edge_vc = link_vc(packet)
         edge = self._edge_for_slice(packet.slice_index)
         row = edge.direction_rows[direction]
         via = self._rng.choice((0, 1))  # inner columns, randomized
@@ -315,7 +323,10 @@ class ChipNetwork(CoreNetworkHost):
         """Called by a CA when a packet arrives from a channel.
 
         Returns "fence" for fence packets (delivered to the fence engine)
-        or "edge" after installing the packet's next edge target.
+        or "edge" after installing the packet's next edge target and
+        link VC.  At the final node the VC still follows the routing
+        state: a Valiant packet whose intermediate is its destination
+        has just entered its class-1 phase there.
         """
         packet.torus_hops_taken += 1
         if packet.kind is PacketKind.FENCE:
@@ -324,12 +335,14 @@ class ChipNetwork(CoreNetworkHost):
         direction = self.next_direction(packet)
         if direction is None:
             # Final node: head for the RA at the destination tile's row.
+            packet.edge_vc = link_vc(packet)
             via = self._rng.choice((0, 1))
             packet.edge_target = EdgeTarget(
                 via_col=via, row=packet.dst_core.tile_v, exit_col=0,
                 exit_port="RA")
             return "edge"
         self._note_torus_hop(packet, direction)
+        packet.edge_vc = link_vc(packet)
         axis_in, sign_in = arrival_direction
         continuing = (direction[0] == axis_in
                       and direction[1] == -sign_in)

@@ -21,7 +21,7 @@ from functools import lru_cache, partial
 from typing import Callable, Dict, Mapping, Optional, Tuple
 
 from ..engine.simulator import Simulator
-from .fabric import Link, PortSlots, Router
+from .fabric import INPUT_QUEUE_FLITS, Link, PortSlots, Router
 from .packet import CoreAddress, Packet, TrafficClass
 from .params import LatencyParams
 
@@ -29,6 +29,7 @@ from .params import LatencyParams
 #: suffice to avoid network deadlock between requests and responses").
 CORE_VC_REQUEST = 0
 CORE_VC_RESPONSE = 1
+CORE_VCS = 2
 
 
 def core_vc(packet: Packet) -> int:
@@ -133,15 +134,14 @@ class CoreNetwork:
 
     ``gc_sinks`` maps ``gc0``/``gc1`` to the delivery handlers; every
     router of the mesh shares the one map.  The mesh links are built on
-    their first use from what the network holds once: the serialization
-    time per flit, the VC count and the credit depth.
+    their first use, each with :data:`CORE_VCS` VCs of
+    :data:`~repro.netsim.fabric.INPUT_QUEUE_FLITS` credits.
     """
 
     def __init__(self, sim: Simulator, chip: CoreNetworkHost,
                  params: LatencyParams,
                  gc_sinks: Mapping[str, Callable[[Packet], None]],
                  cols: int = 24, rows: int = 12,
-                 vcs: int = 2, credit_flits: int = 8,
                  tag: str = "") -> None:
         self._sim = sim
         self.cols = cols
@@ -151,8 +151,8 @@ class CoreNetwork:
         self.tag = tag or str(chip.coord)
         # Every mesh link differs only in its target and in_port; one
         # flit per cycle on mesh channels.
-        self._link = partial(Link, sim, None, 0.0, params.cycle_ns, vcs,
-                             credit_flits)
+        self._link = partial(Link, sim, None, 0.0, params.cycle_ns,
+                             CORE_VCS, INPUT_QUEUE_FLITS)
         pipeline = _pipeline_table(params)
         self.routers: Dict[Tuple[int, int], CoreRouter] = {
             (u, v): CoreRouter(sim, u, v, self, pipeline, gc_sinks)

@@ -27,8 +27,8 @@ from typing import Callable, Dict, Mapping, Optional, Tuple
 from ..engine.simulator import Simulator
 from ..topology.torus import DIRECTIONS, direction_name
 from .core_router import core_vc
-from .fabric import FabricError, Link, PortSlots, Router
-from .packet import Packet, RESPONSE_VC, TrafficClass, request_vc
+from .fabric import INPUT_QUEUE_FLITS, FabricError, Link, PortSlots, Router
+from .packet import NUM_LINK_VCS, Packet
 from .params import LatencyParams
 
 #: Row where each torus direction's Channel Adapter attaches (both edges).
@@ -50,20 +50,6 @@ CA_PORTS: Dict[Tuple[int, int], str] = {
 def compact_direction_rows() -> Dict[Tuple[int, int], int]:
     """Direction-row map for reduced-size test chips (rows >= 6)."""
     return {direction: i for i, direction in enumerate(DIRECTIONS)}
-
-
-def edge_vc(packet: Packet) -> int:
-    """Edge-network VC for a packet (4 escape/request VCs + 1 response
-    VC + 1 adaptive VC).
-
-    Requests carry their phase/dateline VC (``request_vc`` reads the
-    state :func:`repro.routing.note_hop` maintains — or the adaptive VC
-    when the per-hop chooser won one) through the edge mesh and onto
-    the channel; responses always ride the response VC.
-    """
-    if packet.traffic_class is TrafficClass.RESPONSE:
-        return RESPONSE_VC
-    return request_vc(packet)
 
 
 @lru_cache(maxsize=16)
@@ -143,11 +129,11 @@ class EdgeRouter(Router):
 
     def route(self, packet: Packet, vc: int,
               in_port: str) -> Tuple[str, str, Optional[int]]:
-        target: Optional[EdgeTarget] = getattr(packet, "edge_target", None)
+        target: Optional[EdgeTarget] = packet.edge_target
         if target is None:
             raise FabricError(f"{self.name}: packet {packet.pid} has no "
                               "edge target")
-        out_vc = edge_vc(packet)
+        out_vc = packet.edge_vc
         # Phase 1: reach the via column before moving vertically.
         if self.row != target.row:
             if self.col != target.via_col:
@@ -165,7 +151,8 @@ class RowAdapter(Router):
     """Connects one Core Network row to the Edge Network's inner column.
 
     On the core-to-edge crossing the RA asks the chip to plan the packet's
-    path through the Edge Network (exit channel choice happens here).
+    path through the Edge Network and its link VC (exit channel choice
+    happens here).
     """
 
     _PORTS = PortSlots({"edge": "_edge", "core": "_core"})
@@ -182,7 +169,7 @@ class RowAdapter(Router):
               in_port: str) -> Tuple[str, str, Optional[int]]:
         if in_port == "core":
             self._plan_egress(packet)
-            return ("link", "edge", edge_vc(packet))
+            return ("link", "edge", packet.edge_vc)
         if in_port == "edge":
             return ("link", "core", core_vc(packet))
         raise FabricError(f"{self.name}: unknown in_port {in_port}")
@@ -218,7 +205,7 @@ class ChannelAdapter(Router):
     def route(self, packet: Packet, vc: int,
               in_port: str) -> Tuple[str, str, Optional[int]]:
         if in_port == "edge":
-            return ("link", "channel", edge_vc(packet))
+            return ("link", "channel", packet.edge_vc)
         if in_port == "channel":
             arrivals = self.channel_arrivals
             if arrivals is None:
@@ -227,7 +214,7 @@ class ChannelAdapter(Router):
             disposition = self._plan_ingress(packet, self.direction)
             if disposition == "fence":
                 return ("local", "fence", None)
-            return ("link", "edge", edge_vc(packet))
+            return ("link", "edge", packet.edge_vc)
         raise FabricError(f"{self.name}: unknown in_port {in_port}")
 
 
@@ -235,31 +222,25 @@ class EdgeNetwork:
     """One side's 3x12 mesh of Edge Routers with its RAs and CAs.
 
     The mesh links are built on their first use, like the Core
-    Network's; the RA and CA links are wired here.
+    Network's; the RA and CA links are wired here.  Every link carries
+    the full link VC map (:data:`~repro.netsim.packet.NUM_LINK_VCS`), so
+    a packet keeps its VC across the edge mesh.
     """
 
     def __init__(self, sim: Simulator, side: str, node_tag: str,
-                 params: LatencyParams, rows: int = 12,
-                 credit_flits: int = 8, vcs: Optional[int] = None,
-                 direction_rows: Optional[Dict[Tuple[int, int], int]] = None) -> None:
-        self._sim = sim
+                 params: LatencyParams, rows: int = 12) -> None:
         self.side = side
         self.node_tag = node_tag
         self.rows = rows
-        # Full link VC budget (escape + response + adaptive) unless the
-        # caller narrows it: packets keep their VC across the edge mesh.
-        vcs = params.link_vcs if vcs is None else vcs
-        self.vcs = vcs
-        if direction_rows is None:
-            direction_rows = (DIRECTION_ROWS if rows >= 10
-                              else compact_direction_rows())
+        direction_rows = (DIRECTION_ROWS if rows >= 10
+                          else compact_direction_rows())
         if max(direction_rows.values()) >= rows:
             raise FabricError("direction rows do not fit this Edge Network")
         self.direction_rows = dict(direction_rows)
-        self._ser = params.cycle_ns  # one flit per cycle on mesh channels
-        # Every mesh link differs only in its target and in_port.
-        self._link = partial(Link, sim, None, 0.0, self._ser, vcs,
-                             credit_flits)
+        # Every link differs only in its target and in_port; one flit
+        # per cycle on mesh channels.
+        self._link = partial(Link, sim, None, 0.0, params.cycle_ns,
+                             NUM_LINK_VCS, INPUT_QUEUE_FLITS)
         pipeline = _pipeline_tables(params)["EdgeRouter"]
         self.routers: Dict[Tuple[int, int], EdgeRouter] = {
             (col, row): EdgeRouter(sim, col, row, self, pipeline)
@@ -274,29 +255,23 @@ class EdgeNetwork:
         return self._link(neighbor, port)
 
     def _connect(self, source: Router, port: str, target: Router,
-                 in_port: str, vcs: int, credit_flits: int) -> None:
+                 in_port: str) -> None:
         """Wire ``source``'s output ``port`` to ``target``'s ``in_port``;
         the link is named ``"{source.name}->{port}"``."""
-        source.add_output(port, Link(self._sim, None, 0.0, self._ser, vcs,
-                                     credit_flits, target, in_port))
+        source.add_output(port, self._link(target, in_port))
 
     def router(self, col: int, row: int) -> EdgeRouter:
         return self.routers[(col, row)]
 
-    def attach_ra(self, row: int, ra: RowAdapter,
-                  vcs: Optional[int] = None, credit_flits: int = 8) -> None:
+    def attach_ra(self, row: int, ra: RowAdapter) -> None:
         """Wire a Row Adapter to the inner column at ``row`` (both ways)."""
         inner = self.routers[(0, row)]
-        vcs = self.vcs if vcs is None else vcs
-        self._connect(ra, "edge", inner, "RA", vcs, credit_flits)
-        self._connect(inner, "RA", ra, "edge", vcs, credit_flits)
+        self._connect(ra, "edge", inner, "RA")
+        self._connect(inner, "RA", ra, "edge")
 
-    def attach_ca(self, ca: ChannelAdapter,
-                  vcs: Optional[int] = None, credit_flits: int = 8) -> None:
+    def attach_ca(self, ca: ChannelAdapter) -> None:
         """Wire a Channel Adapter to the outer column at its row."""
         row = self.direction_rows[ca.direction]
         outer = self.routers[(OUTER_COL, row)]
-        vcs = self.vcs if vcs is None else vcs
-        self._connect(outer, CA_PORTS[ca.direction], ca, "edge", vcs,
-                      credit_flits)
-        self._connect(ca, "edge", outer, "CA", vcs, credit_flits)
+        self._connect(outer, CA_PORTS[ca.direction], ca, "edge")
+        self._connect(ca, "edge", outer, "CA")

@@ -23,6 +23,11 @@ from ..engine.simulator import Simulator
 from .packet import Packet
 
 
+#: Input-queue depth per VC at every router input, in flits: the credit
+#: pool each link starts with (Section III-B).
+INPUT_QUEUE_FLITS = 8
+
+
 class FabricError(RuntimeError):
     """Raised on wiring or routing bugs."""
 

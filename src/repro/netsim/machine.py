@@ -19,8 +19,8 @@ from ..routing import RoutePlan, RoutingPolicy, make_policy
 from ..topology.torus import Coord, DIRECTIONS, Torus3D
 from .chip import ChipNetwork, GcEndpoint
 from .config import MachineConfig
-from .fabric import FabricError, Link
-from .packet import CoreAddress, Packet, PacketKind, TrafficClass
+from .fabric import INPUT_QUEUE_FLITS, FabricError, Link
+from .packet import NUM_LINK_VCS, CoreAddress, Packet, PacketKind, TrafficClass
 
 
 class NetworkMachine:
@@ -104,7 +104,8 @@ class NetworkMachine:
                     link = Link(
                         self.sim,
                         f"chan{coord}->{neighbor_coord}[{axis},{sign}]s{slice_index}",
-                        latency, ser, params.link_vcs, 8, ca_in, "channel")
+                        latency, ser, NUM_LINK_VCS, INPUT_QUEUE_FLITS,
+                        ca_in, "channel")
                     chip.attach_channel((axis, sign), slice_index, link)
 
     # ------------------------------------------------------------------
@@ -209,23 +210,18 @@ class NetworkMachine:
                      payload_words: Tuple[int, ...] = (),
                      num_flits: int = 1,
                      accumulate: bool = False,
-                     dim_order: Optional[Tuple[int, int, int]] = None,
                      slice_index: Optional[int] = None,
                      rng: Optional[random.Random] = None) -> Packet:
         """Build a request packet routed by the machine's policy, with a
         random channel slice (oblivious load balance, Section III-B2).
-        ``dim_order`` pins a fixed single-phase minimal route (bypassing
-        the policy) and ``slice_index`` pins the slice, for experiments.
-        The plan and then the slice are drawn from ``rng`` (default: the
-        machine's own stream); traffic harnesses pass a per-source
-        stream so sweeps stay deterministic across processes."""
+        ``slice_index`` pins the slice, for experiments.  The plan and
+        then the slice are drawn from ``rng`` (default: the machine's
+        own stream); traffic harnesses pass a per-source stream so
+        sweeps stay deterministic across processes."""
         if rng is None:
             rng = self.rng
-        plan: Optional[RoutePlan] = None
-        if dim_order is None:
-            plan = self.plan_request_route(src_node, dst_node, rng,
-                                           src_core=src_core)
-            dim_order = plan.phases[0].dim_order
+        plan = self.plan_request_route(src_node, dst_node, rng,
+                                       src_core=src_core)
         if slice_index is None:
             slice_index = rng.randrange(2)
         packet = Packet(kind=kind, traffic_class=TrafficClass.REQUEST,
@@ -233,10 +229,9 @@ class NetworkMachine:
                         dst_node=self.torus.normalize(dst_node),
                         src_core=src_core, dst_core=dst_core,
                         num_flits=num_flits, payload_words=payload_words,
-                        dim_order=dim_order,
                         slice_index=slice_index,
-                        quad_addr=quad_addr, accumulate=accumulate)
-        packet.route = plan
+                        quad_addr=quad_addr, accumulate=accumulate,
+                        route=plan)
         return packet
 
     def send_counted_write(self, src_node: Coord, src_core: CoreAddress,
@@ -302,7 +297,7 @@ class NetworkMachine:
         assert which layers actually carried traffic under a policy.
         Each receiving Channel Adapter counts its arrivals per VC.
         """
-        totals = [0] * self.params.link_vcs
+        totals = [0] * NUM_LINK_VCS
         for chip in self.chips.values():
             for ca in chip.channel_adapters.values():
                 for vc, count in (ca.channel_arrivals or {}).items():

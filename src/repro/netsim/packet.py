@@ -65,6 +65,16 @@ class CoreAddress:
 _packet_ids = itertools.count()
 
 
+#: The link VC map: VCs 0-3 are the four dateline-disciplined
+#: escape/request VCs (``link_vc``), then one response VC and one
+#: adaptive VC (repro.routing.escape).  Channel and edge-network links
+#: carry all six, so a packet keeps its VC across the chip; the core
+#: network keeps its own two-VC request/response split (Section III-B1).
+RESPONSE_VC = 4  # the single response-class VC (Section III-B2)
+ADAPTIVE_VC = 5  # the per-hop adaptive request VC (Duato's adaptive layer)
+NUM_LINK_VCS = 6
+
+
 @dataclass(slots=True)
 class Packet:
     """One network packet in flight.
@@ -81,20 +91,19 @@ class Packet:
     dst_core: CoreAddress
     num_flits: int = 1
     payload_words: Tuple[int, ...] = ()
-    dim_order: Tuple[int, int, int] = (0, 1, 2)
     slice_index: int = 0
     quad_addr: int = 0
     accumulate: bool = False
     pid: int = field(default_factory=lambda: next(_packet_ids))
 
     # Routing state.  ``route`` is the RoutePlan a policy fixed at
-    # injection (repro.routing); packets built without one fall back to
-    # a single minimal phase over ``dim_order``.  ``route_axis`` and
-    # ``crossed_dateline`` are the per-ring dateline VC discipline,
-    # maintained hop by hop via repro.routing.note_hop.  ``on_escape``
-    # and ``misroutes`` are the adaptive-escape layer state
-    # (repro.routing.escape): which VC layer the current hop rides, and
-    # how much of the per-packet misroute budget is spent.
+    # injection (repro.routing); every request the chips route carries
+    # one, responses never do.  ``route_axis`` and ``crossed_dateline``
+    # are the per-ring dateline VC discipline, maintained hop by hop via
+    # repro.routing.note_hop.  ``on_escape`` and ``misroutes`` are the
+    # adaptive-escape layer state (repro.routing.escape): which VC layer
+    # the current hop rides, and how much of the per-packet misroute
+    # budget is spent.
     route: Optional["object"] = None
     route_axis: Optional[int] = None
     crossed_dateline: bool = False
@@ -105,7 +114,11 @@ class Packet:
     injected_ns: Optional[float] = None
     delivered_ns: Optional[float] = None
     torus_hops_taken: int = 0
-    edge_target: Optional[object] = None  # set by the chip's planners
+    # Set by the chip's planners once per torus hop: the Edge Network
+    # path and the link VC (link_vc) of the packet's crossing of one
+    # chip's edge network and the channel after it.
+    edge_target: Optional[object] = None
+    edge_vc: Optional[int] = None
     # Stable trace identity (repro.observe): (node_id, per-chip sequence)
     # assigned at injection only when the machine is observed.  ``pid``
     # cannot serve — it comes from a process-global counter, so its
@@ -115,24 +128,10 @@ class Packet:
     def __post_init__(self) -> None:
         if self.num_flits not in (1, 2):
             raise ValueError("Anton 3 packets are one or two flits")
-        if (self.traffic_class is TrafficClass.RESPONSE
-                and self.dim_order != (0, 1, 2)):
-            raise ValueError("response packets must use XYZ dimension order")
 
     @property
     def bits(self) -> int:
         return self.num_flits * FLIT_BITS
-
-    @property
-    def vc_class(self) -> int:
-        """Request VC class of the packet's current routing phase.
-
-        Single-phase plans (and plan-less packets) ride class 0;
-        Valiant's second phase rides class 1.
-        """
-        if self.route is None:
-            return 0
-        return self.route.current.vc_class
 
     @property
     def latency_ns(self) -> float:
@@ -141,38 +140,31 @@ class Packet:
         return self.delivered_ns - self.injected_ns
 
 
-def request_vc(packet: Packet,
-               crossed_dateline: Optional[bool] = None) -> int:
-    """Request-class VC assignment.
+def link_vc(packet: Packet) -> int:
+    """The link VC of a packet's next torus hop, from its routing state.
 
-    Four *escape* request VCs exist (Section III-B2).  We split them by
-    routing phase (VC class 0/1 — Valiant's two minimal phases ride
-    disjoint classes) and by dateline status within the phase —
-    ``request_vc == 2 * vc_class + dateline``, the standard torus
-    deadlock-avoidance scheme the paper's VC budget implies.  By
-    default the packet's own dateline state (maintained by
-    :func:`repro.routing.note_hop`) decides; passing ``crossed_dateline``
-    pins it for tests.
+    Responses ride :data:`RESPONSE_VC`.  Requests ride one of the four
+    *escape* request VCs (Section III-B2), split by routing phase (VC
+    class 0/1 — Valiant's two minimal phases ride disjoint classes) and
+    by dateline status within the phase: ``2 * vc_class + dateline``,
+    the standard torus deadlock-avoidance scheme the paper's VC budget
+    implies.  The dateline state is the one
+    :func:`repro.routing.note_hop` maintains.
 
-    Packets whose :class:`~repro.routing.policy.RoutePlan` is marked
+    Requests whose :class:`~repro.routing.policy.RoutePlan` is marked
     adaptive ride :data:`ADAPTIVE_VC` instead on every hop where the
     per-hop chooser (:mod:`repro.routing.escape`) won an adaptive VC;
     when it fell back (``packet.on_escape``), the escape map above
     applies unchanged — that fallback always being available is the
     Duato deadlock-freedom argument.
+
+    The routing state changes only when a torus hop is planned, so the
+    chip's planners call this once per hop and store the result in
+    ``packet.edge_vc`` for every router up to the next plan.
     """
+    if packet.traffic_class is TrafficClass.RESPONSE:
+        return RESPONSE_VC
     plan = packet.route
-    if (plan is not None and getattr(plan, "adaptive", False)
-            and not packet.on_escape):
+    if plan.adaptive and not packet.on_escape:
         return ADAPTIVE_VC
-    if crossed_dateline is None:
-        crossed_dateline = packet.crossed_dateline
-    return 2 * packet.vc_class + (1 if crossed_dateline else 0)
-
-
-#: The link VC map: four dateline-disciplined escape/request VCs, one
-#: response VC, one adaptive VC (repro.routing.escape).
-ESCAPE_VCS = (0, 1, 2, 3)
-RESPONSE_VC = 4  # the single response-class VC (Section III-B2)
-ADAPTIVE_VC = 5  # the per-hop adaptive request VC (Duato's adaptive layer)
-NUM_LINK_VCS = 6
+    return 2 * plan.current.vc_class + (1 if packet.crossed_dateline else 0)

@@ -18,9 +18,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..config import ChipConfig
-from .packet import ESCAPE_VCS, NUM_LINK_VCS, RESPONSE_VC
-
 
 @dataclass(frozen=True)
 class LatencyParams:
@@ -58,36 +55,7 @@ class LatencyParams:
     # Channel slice: 8 of the 16 lanes toward a neighbor.
     slice_gbps: float = 8 * 29.0
 
-    # Link VC budget (requests/escape + response + adaptive).  The four
-    # escape VCs carry the dateline-disciplined request classes
-    # (request_vc == 2 * vc_class + dateline), the response VC is the
-    # protocol's second traffic class, and the adaptive VC is the
-    # per-hop adaptive layer of repro.routing.escape.  Channel and
-    # edge-network links are provisioned with the full set so a packet
-    # keeps its VC across the chip; the core network keeps its own
-    # two-VC request/response split (Section III-B1).  The escape and
-    # response budgets are pinned by the fixed VC ids in
-    # repro.netsim.packet (__post_init__ rejects anything the VC map
-    # cannot address); only extra adaptive VCs may be provisioned.
-    escape_vcs: int = len(ESCAPE_VCS)
-    response_vcs: int = 1
-    adaptive_vcs: int = 1
-
     def __post_init__(self) -> None:
-        if self.escape_vcs != len(ESCAPE_VCS):
-            raise ValueError(
-                f"escape_vcs must be {len(ESCAPE_VCS)}: the VC map in "
-                "repro.netsim.packet hardwires escape VC ids "
-                f"{ESCAPE_VCS}")
-        if self.response_vcs != 1:
-            raise ValueError(
-                "response_vcs must be 1: the VC map hardwires the "
-                f"response VC id {RESPONSE_VC}")
-        if self.adaptive_vcs < 1:
-            raise ValueError(
-                "adaptive_vcs must be >= 1: adaptive-escape packets "
-                "ride the fixed adaptive VC id "
-                f"{NUM_LINK_VCS - 1}")
         # Derived once: the hot paths read these per packet.  Not
         # fields, so equality, hashing and ``replace`` ignore them.
         cycle_ns = 1.0 / self.clock_ghz
@@ -97,18 +65,6 @@ class LatencyParams:
                 ("delivery_ns", (self.trtr_cycles + self.sram_write_cycles)
                  * cycle_ns)):
             object.__setattr__(self, name, value)
-
-    # Fence engine (see repro.fence): internal edge-network multicast and
-    # merge time added at each torus hop of a fence wavefront, plus the
-    # intra-chip fence tree overhead (merge of all GC fence packets).
-    fence_internal_ns: float = 18.0
-    fence_tree_overhead_ns: float = 12.0
-
-    @property
-    def link_vcs(self) -> int:
-        """VCs on every channel and edge-network link (escape map +
-        response + adaptive); must cover repro.netsim.packet's VC ids."""
-        return self.escape_vcs + self.response_vcs + self.adaptive_vcs
 
     def cycles(self, n: int) -> float:
         return n * self.cycle_ns

@@ -15,15 +15,10 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..engine.seeding import derive_seed
-from ..engine.stats import StatsRegistry, Summary
+from ..engine.stats import Summary
 from ..topology.torus import Coord
 from .machine import NetworkMachine
 from .packet import CoreAddress
-
-#: Histogram bounds for one-way ping-pong latency (ns): 8 ns bins over
-#: the full range a healthy machine can produce, fixed so the binning —
-#: and therefore every percentile read from it — is config-independent.
-ONE_WAY_HIST_NS = (0.0, 4096.0, 512)
 
 
 @dataclass
@@ -39,23 +34,13 @@ class PingPongResult:
 
 
 class PingPongHarness:
-    """Runs counted-write ping-pongs on a :class:`NetworkMachine`.
-
-    Every measurement also lands in the harness's ``stats`` registry
-    (:class:`~repro.engine.stats.StatsRegistry`): per-round one-way
-    latencies feed a machine-readable summary and fixed-bin histogram,
-    and the per-hop / best-placement surfaces are mirrored as named
-    summaries.  The registry is an *additional* audit surface — the
-    return values are still computed from the same local accumulators
-    as before, so results stay byte-identical.
-    """
+    """Runs counted-write ping-pongs on a :class:`NetworkMachine`."""
 
     def __init__(self, machine: NetworkMachine, seed: int = 1) -> None:
         self.machine = machine
         # Placement sampling follows the derive_seed convention so a
         # harness rebuilt in any worker process samples the same pairs.
         self.rng = random.Random(derive_seed(seed, "pingpong"))
-        self.stats = StatsRegistry()
 
     def measure_pair(self, src_node: Coord, src_core: CoreAddress,
                      dst_node: Coord, dst_core: CoreAddress,
@@ -83,9 +68,6 @@ class PingPongHarness:
                 one_way = (sim.now - start) / 2.0
                 total[0] += one_way
                 completed[0] += 1
-                self.stats.summary("pingpong/one_way_ns").observe(one_way)
-                self.stats.histogram("pingpong/one_way_ns",
-                                     *ONE_WAY_HIST_NS).observe(one_way)
                 if round_index + 1 < rounds:
                     start_round(round_index + 1)
 
@@ -169,10 +151,6 @@ class PingPongHarness:
             for value in values:
                 summary.observe(value)
             results[hops] = summary
-            # Mirror the figure-5 surface into the harness registry;
-            # merging a fresh local summary keeps repeated calls from
-            # corrupting each other's returned objects.
-            self.stats.summary(f"fig5/one_way_ns@{hops}hops").merge(summary)
         return results
 
     def minimum_one_hop_latency(self, samples: int = 60) -> float:
@@ -203,6 +181,5 @@ class PingPongHarness:
             result = self.measure_pair(src_node, src_core, dst_node,
                                        dst_core, slice_index=slice_index)
             local.observe(result.one_way_ns)
-        self.stats.summary("fig6/min_one_hop_ns").merge(local)
         assert local.min is not None  # sample_pairs_at_hops never empty
         return local.min

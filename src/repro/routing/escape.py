@@ -15,7 +15,7 @@ that machinery.  Each link's VC set is split into two layers:
   non-wraparound direction whose adaptive VC has room — but only while
   its per-packet misroute budget (``RoutePlan.max_misroutes``) lasts.
 * **Escape layer** — the four dateline-disciplined request VCs
-  (``request_vc == 2 * vc_class + dateline``), on which routing is
+  (``link_vc == 2 * vc_class + dateline``), on which routing is
   deterministic minimal dimension-order exactly as in every oblivious
   policy.  A packet that cannot win an adaptive VC (and cannot or may
   not misroute) falls back here for the hop and is restricted minimally.
@@ -132,7 +132,7 @@ def adaptive_escape_direction(packet, coord: Coord, torus: Torus3D,
     probe permitting), and finally the escape layer's deterministic
     minimal dimension-order hop.  Mutates the packet's layer state:
     ``packet.on_escape`` records which layer the chosen hop rides (it
-    decides the VC via :func:`repro.netsim.packet.request_vc`) and
+    decides the VC via :func:`repro.netsim.packet.link_vc`) and
     ``packet.misroutes`` counts spent budget.  With no ``probe`` (e.g.
     offline traces without a fabric) every hop is an escape hop.
     Returns ``None`` at the phase target.

@@ -11,7 +11,7 @@ behavior.
 
 Invariants tests rely on: both policies emit exactly one minimal phase
 (route length equals ``torus.min_hops``), their hops ride the escape
-request VCs (``request_vc == 2 * vc_class + dateline``; fixed-xyz pins
+request VCs (``link_vc == 2 * vc_class + dateline``; fixed-xyz pins
 class 0, randomized-minimal spreads class per source GC), and
 ``randomized-minimal`` draws exactly one ``rng.choice`` per plan —
 reproducing the pre-subsystem RNG stream draw for draw, which is what

@@ -28,13 +28,14 @@ dedicated response VC (:mod:`repro.netsim.chip` keeps that invariant).
 
 Invariants tests (and the cache-versioned experiments) rely on:
 
-* ``request_vc == 2 * vc_class + dateline`` — the escape/request VC map
-  (:func:`repro.netsim.packet.request_vc`); plans marked ``adaptive``
+* ``link VC == 2 * vc_class + dateline`` — the escape/request VC map
+  (:func:`repro.netsim.packet.link_vc`); plans marked ``adaptive``
   additionally ride the dedicated adaptive VC
   (:data:`repro.netsim.packet.ADAPTIVE_VC`) on hops where they won it,
   and fall back to exactly this escape map otherwise.
-* Response packets never carry a :class:`RoutePlan`: they are forced
-  XYZ, mesh-restricted, on the single response VC.
+* Every request packet carries a :class:`RoutePlan`; response packets
+  never do: they are forced XYZ, mesh-restricted, on the single
+  response VC.
 * A policy's ``make_plan`` is a deterministic function of ``(src, dst,
   rng draws, congestion observations)``, and the per-hop walker draws
   only from the caller-provided ``rng``/``probe`` — so runner sweeps
@@ -192,10 +193,9 @@ def next_request_direction(packet, coord: Coord, torus: Torus3D,
                            events=None) -> Optional[Tuple[int, int]]:
     """The request packet's next torus direction from ``coord``.
 
-    Resolves the current phase of ``packet.route`` (falling back to a
-    single minimal phase over ``packet.dim_order`` for packets built
-    without a plan), advancing phases whose targets are reached.
-    Returns ``None`` at the final destination.
+    Resolves the current phase of ``packet.route``, advancing phases
+    whose targets are reached.  Returns ``None`` at the final
+    destination.
 
     Plans marked ``adaptive`` are re-evaluated here at every hop:
     ``probe`` is the router's per-direction adaptive-VC state oracle
@@ -216,13 +216,7 @@ def next_request_direction(packet, coord: Coord, torus: Torus3D,
     decision through it (``"adaptive"``/``"misroute"``/``"escape"``);
     it is ignored — and the hook never fires — for oblivious plans.
     """
-    plan: Optional[RoutePlan] = getattr(packet, "route", None)
-    if plan is None:
-        if faults is not None:
-            return faults.route_direction(packet, coord, packet.dst_node,
-                                          rng)
-        return _minimal_direction(coord, packet.dst_node, packet.dim_order,
-                                  torus)
+    plan: RoutePlan = packet.route
     while (plan.phase_index < len(plan.phases) - 1
            and coord == plan.current.target):
         plan.phase_index += 1
@@ -288,16 +282,16 @@ def trace_route(packet, torus: Torus3D,
                 probe=None, rng=None) -> Tuple[List[RouteHop], Coord]:
     """Walk a request packet's route hop by hop, without a simulator.
 
-    Applies exactly the per-hop machinery the chips use
-    (:func:`next_request_direction` + :func:`note_hop` + the VC
-    assignment), so tests can assert route shape, length, and VC
-    discipline offline.  ``probe``/``rng`` feed the per-hop chooser of
+    Applies exactly the per-hop machinery the chips' planners use
+    (:func:`next_request_direction` + :func:`note_hop` +
+    :func:`~repro.netsim.packet.link_vc`), so tests can assert route
+    shape, length, and VC discipline offline.  ``probe``/``rng`` feed the per-hop chooser of
     adaptive plans (an always-congested probe is how the livelock tests
     drive uncapped misrouting).  Returns ``(hops, final_coord)``; raises
     ``RuntimeError`` if the walk exceeds ``max_hops`` (a routing cycle,
     or a livelocked adaptive walk).
     """
-    from ..netsim.packet import TrafficClass, request_vc
+    from ..netsim.packet import TrafficClass, link_vc
 
     if packet.traffic_class is not TrafficClass.REQUEST:
         raise ValueError("trace_route walks request packets only")
@@ -311,10 +305,9 @@ def trace_route(packet, torus: Torus3D,
         if direction is None:
             return hops, coord
         note_hop(packet, coord, direction, torus)
-        plan = getattr(packet, "route", None)
         hops.append(RouteHop(coord=coord, direction=direction,
-                             vc=request_vc(packet),
-                             phase=plan.phase_index if plan else 0))
+                             vc=link_vc(packet),
+                             phase=packet.route.phase_index))
         coord = torus.neighbor(coord, *direction)
         if len(hops) > limit:
             raise RuntimeError(

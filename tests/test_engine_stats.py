@@ -48,26 +48,6 @@ class TestSummary:
         assert s.variance == pytest.approx(np.var(values, ddof=1))
         assert s.stddev == pytest.approx(np.std(values, ddof=1))
 
-    def test_merge_equals_combined_stream(self):
-        a, b, c = Summary(), Summary(), Summary()
-        for v in (1.0, 2.0, 3.0):
-            a.observe(v)
-            c.observe(v)
-        for v in (10.0, 20.0):
-            b.observe(v)
-            c.observe(v)
-        a.merge(b)
-        assert a.count == c.count
-        assert a.mean == pytest.approx(c.mean)
-        assert a.variance == pytest.approx(c.variance)
-        assert a.min == c.min and a.max == c.max
-
-    def test_merge_into_empty(self):
-        a, b = Summary(), Summary()
-        b.observe(5.0)
-        a.merge(b)
-        assert a.count == 1 and a.mean == 5.0
-
 
 class TestHistogram:
     def test_bins_and_overflow(self):

@@ -9,7 +9,10 @@ before links gained their idle-link fast path.  Two open loops run at
 half load, so VC arbitration and credit stalls shape their results; the
 saturated one offers 0.95 load of bit-complement traffic with remote
 reads, so busy-link retries, credit stalls and round-robin over several
-queued VCs do.  A change to the kernel, the links or the routers that
+queued VCs do.  The two open loops with remote reads under ``valiant``
+and ``fixed-xyz`` also pin the packets each channel VC carried: Valiant's
+second phase rides request VCs 2 and 3, reads answer on the response
+VC.  A change to the kernel, the links or the routers that
 alters any result, or the number or order of events, fails here.  The
 pinned values are never regenerated to make a change pass.
 """
@@ -65,6 +68,21 @@ def saturated_openloop():
                                load=0.95, read_fraction=0.5)
 
 
+def _policy_openloop_reads(routing: str):
+    machine = _machine(routing=routing, seed=7)
+    record = _open_loop(machine, seed=7, read_fraction=0.5)
+    record["channel_vc_packets"] = machine.channel_vc_packets()
+    return machine, record
+
+
+def valiant_openloop_reads():
+    return _policy_openloop_reads("valiant")
+
+
+def fixed_xyz_openloop_reads():
+    return _policy_openloop_reads("fixed-xyz")
+
+
 def phaseloop_adaptive_reads():
     machine = _machine(routing="adaptive-escape")
     phases = md_timestep_phases(machine, messages_per_node=6, window=2,
@@ -101,6 +119,8 @@ CASES = {
     "fig5-pingpong": fig5_pingpong,
     "fence-barrier": fence_barrier,
     "saturated-openloop": saturated_openloop,
+    "valiant-openloop-reads": valiant_openloop_reads,
+    "fixed-xyz-openloop-reads": fixed_xyz_openloop_reads,
 }
 
 #: case -> (result digest, kernel events processed).
@@ -123,6 +143,12 @@ PINS = {
     "saturated-openloop": (
         "f389824bc3b9a8aaabc4bff1a79c7a411d89185628f9fe897e5547db7506d725",
         162130),
+    "valiant-openloop-reads": (
+        "232fbbdde8fc135fa6fb462be095ec018b5692d89a1016d0727773a08875aaa9",
+        78934),
+    "fixed-xyz-openloop-reads": (
+        "2a0257713f9207a046958348be0ed646ab29e1189791258ea6bad2edbc3d5cfa",
+        62634),
 }
 
 

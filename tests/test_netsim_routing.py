@@ -14,6 +14,7 @@ from repro.netsim import (
     TrafficClass,
 )
 from repro.netsim.packet import Packet
+from repro.routing import RoutePhase, RoutePlan
 
 
 @pytest.fixture(scope="module")
@@ -107,7 +108,7 @@ class TestObliviousRouting:
             packet = machine.make_request(
                 PacketKind.COUNTED_WRITE, (0, 0, 0), CoreAddress(0, 0, 0),
                 (1, 1, 1), CoreAddress(0, 0, 0))
-            orders.add(packet.dim_order)
+            orders.add(packet.route.phases[0].dim_order)
         assert len(orders) >= 4  # randomized among the six orders
 
     def test_slices_vary(self, machine):
@@ -154,13 +155,14 @@ class TestEdgeNetworkPolicy:
             packet = machine.make_request(
                 PacketKind.COUNTED_WRITE, (0, 0, 0), CoreAddress(0, 0, 0),
                 (1, 1, 0), CoreAddress(0, 0, 0))
-            if packet.dim_order[0] in (0, 1):
+            order = packet.route.phases[0].dim_order
+            if order[0] in (0, 1):
                 break
         machine.chip((0, 0, 0)).send(packet)
         machine.sim.run()
         assert packet.delivered_ns is not None
         # The turn node saw at least one inner-column hop.
-        first_axis = packet.dim_order[0] if packet.dim_order[0] != 2 else None
+        first_axis = order[0] if order[0] != 2 else None
         mid = (1, 0, 0) if first_axis == 0 else (0, 1, 0)
         mid_id = machine.torus.node_id(mid)
         mid_cols = [int(h.split("(")[1].split(",")[0])
@@ -179,3 +181,31 @@ class TestChannelAccounting:
                                    (1, 0, 0), CoreAddress(0, 0, 0))
         machine.sim.run()
         assert machine.total_channel_flits() == before + 1
+
+
+class TestHopPlanners:
+    """The chip's planners decide a packet's link VC once per torus hop."""
+
+    def test_valiant_intermediate_at_destination_rides_class_one(self):
+        machine = NetworkMachine(config=MachineConfig(
+            dims=(2, 2, 2), chip_cols=6, chip_rows=6, seed=7,
+            routing="valiant"))
+        src, dst = (1, 0, 0), (0, 0, 0)
+        plan = RoutePlan(policy="valiant", phases=(
+            RoutePhase(target=dst, dim_order=(0, 1, 2), vc_class=0),
+            RoutePhase(target=dst, dim_order=(0, 1, 2), vc_class=1)))
+        packet = Packet(kind=PacketKind.COUNTED_WRITE,
+                        traffic_class=TrafficClass.REQUEST,
+                        src_node=src, dst_node=dst,
+                        src_core=CoreAddress(0, 0, 0),
+                        dst_core=CoreAddress(1, 1, 0), route=plan)
+        machine.chip(src)._plan_egress(packet)
+        # X+ from x=1 wraps to x=0: class 0 on its dateline VC.
+        assert packet.edge_target.exit_port == "CA:X+"
+        assert packet.edge_vc == 1
+        disposition = machine.chip(dst)._plan_ingress(packet, (0, -1))
+        assert disposition == "edge" and packet.edge_target.exit_port == "RA"
+        # The intermediate is the destination: the last node advances the
+        # plan to its class-1 phase, with a fresh dateline.
+        assert plan.phase_index == 1
+        assert packet.edge_vc == 2

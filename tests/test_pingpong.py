@@ -77,46 +77,3 @@ class TestAnalyticAgreement:
         harness = PingPongHarness(machine128, seed=9)
         measured = harness.minimum_one_hop_latency(samples=30)
         assert breakdown_total_ns() == pytest.approx(measured, abs=5.0)
-
-
-class TestStatsSurface:
-    """The harness mirrors its measurements into a StatsRegistry — an
-    audit surface for observability; return values stay authoritative."""
-
-    def small_harness(self):
-        machine = NetworkMachine(config=MachineConfig(
-            dims=(1, 1, 2), chip_cols=6, chip_rows=6, seed=21))
-        return PingPongHarness(machine, seed=3)
-
-    def test_rounds_feed_summary_and_histogram(self):
-        harness = self.small_harness()
-        result = harness.measure_pair((0, 0, 0), CoreAddress(0, 0, 0),
-                                      (0, 0, 1), CoreAddress(0, 0, 0),
-                                      rounds=3)
-        summary = harness.stats.summary("pingpong/one_way_ns")
-        assert summary.count == 3
-        assert summary.mean == pytest.approx(result.one_way_ns)
-        from repro.netsim.pingpong import ONE_WAY_HIST_NS
-        hist = harness.stats.histogram("pingpong/one_way_ns",
-                                       *ONE_WAY_HIST_NS)
-        assert hist.total == 3
-        assert hist.percentile(50.0) == pytest.approx(result.one_way_ns,
-                                                      rel=0.05)
-
-    def test_min_one_hop_mirrored_into_fig6_summary(self):
-        harness = self.small_harness()
-        minimum = harness.minimum_one_hop_latency(samples=6)
-        mirrored = harness.stats.summary("fig6/min_one_hop_ns")
-        assert mirrored.count == 6
-        assert mirrored.min == minimum
-
-    def test_fig5_surface_mirrored_per_hop(self):
-        harness = self.small_harness()
-        curve = harness.latency_vs_hops(max_hops=1, samples_per_hop=2)
-        for hops, summary in curve.items():
-            mirrored = harness.stats.summary(f"fig5/one_way_ns@{hops}hops")
-            assert mirrored.count == summary.count
-            assert mirrored.mean == pytest.approx(summary.mean)
-        snapshot = harness.stats.snapshot()
-        assert "pingpong/one_way_ns" in snapshot["summaries"]
-        assert snapshot["histograms"]["pingpong/one_way_ns"]["counts"]

@@ -55,7 +55,7 @@ class TestRemoteRead:
         assert response.kind is PacketKind.READ_RESPONSE
         assert response.traffic_class is TrafficClass.RESPONSE
         assert response.num_flits == 2
-        assert response.dim_order == (0, 1, 2)
+        assert response.route is None  # XYZ by the chips, not a plan
 
     def test_response_never_wraps(self, machine, hop_recorder):
         """Mesh-restricted responses: from (2,*,*) to (0,*,*) the response
@@ -69,9 +69,14 @@ class TestRemoteRead:
         assert x_hops >= machine.torus.min_hops((2, 1, 1), (0, 0, 0))
 
     def test_response_uses_response_vc_on_channels(self, machine):
-        from repro.netsim.edge_router import edge_vc
-        __, __, response = do_read(machine, (0, 0, 0), (1, 0, 0), reply=12)
-        assert edge_vc(response) == RESPONSE_VC
+        before = machine.channel_vc_packets()
+        request, __, response = do_read(machine, (0, 0, 0), (1, 0, 0),
+                                        reply=12)
+        carried = [after - prior for after, prior
+                   in zip(machine.channel_vc_packets(), before)]
+        assert carried[RESPONSE_VC] == response.torus_hops_taken == 1
+        assert sum(carried) == (request.torus_hops_taken
+                                + response.torus_hops_taken)
 
     def test_blocking_read_completes_on_response(self, machine):
         src_node, dst_node = (0, 0, 0), (1, 1, 1)

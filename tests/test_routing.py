@@ -18,7 +18,7 @@ from repro.netsim import (
     PacketKind,
     TrafficClass,
 )
-from repro.netsim.packet import ADAPTIVE_VC, Packet, request_vc
+from repro.netsim.packet import ADAPTIVE_VC, Packet, link_vc
 from repro.routing import (
     DEFAULT_POLICY,
     POLICY_NAMES,
@@ -36,13 +36,11 @@ from repro.topology.torus import Torus3D
 DIMS = (4, 3, 2)
 
 
-def request_packet(src, dst, plan=None, dim_order=(0, 1, 2)):
-    packet = Packet(
+def request_packet(src, dst, plan):
+    return Packet(
         kind=PacketKind.COUNTED_WRITE, traffic_class=TrafficClass.REQUEST,
         src_node=src, dst_node=dst, src_core=CoreAddress(0, 0, 0),
-        dst_core=CoreAddress(0, 0, 0), dim_order=dim_order)
-    packet.route = plan
-    return packet
+        dst_core=CoreAddress(0, 0, 0), route=plan)
 
 
 def trace(policy, torus, src, dst, rng, source=None):
@@ -151,12 +149,14 @@ class TestVcDiscipline:
                 == source_vc_class(CoreAddress(2, 3, 1)))
         assert source_vc_class(None) == 0
 
-    def test_planless_packets_follow_dim_order_minimally(self, torus):
-        packet = request_packet((0, 0, 0), (1, 1, 1), dim_order=(2, 0, 1))
+    def test_single_phase_plans_follow_dim_order_minimally(self, torus):
+        plan = RoutePlan(policy="test", phases=(
+            RoutePhase(target=(1, 1, 1), dim_order=(2, 0, 1)),))
+        packet = request_packet((0, 0, 0), (1, 1, 1), plan)
         hops, final = trace_route(packet, torus)
         assert final == (1, 1, 1)
         assert [hop.direction[0] for hop in hops] == [2, 0, 1]
-        assert request_vc(packet, False) == 0  # legacy packets: class 0
+        assert [hop.vc for hop in hops] == [0, 0, 0]  # class 0, no wraps
 
     def test_cycle_detection_guards_bad_plans(self, torus):
         # A plan whose phase target is unreachable minimally can't exist,
@@ -226,7 +226,7 @@ class TestAdaptiveEscape:
                                            probe=free_probe)
         assert direction in [(0, 1), (1, 1), (2, 1)]
         assert not packet.on_escape
-        assert request_vc(packet) == ADAPTIVE_VC
+        assert link_vc(packet) == ADAPTIVE_VC
 
     def test_avoids_the_congested_productive_direction(self, torus):
         def x_blocked(coord, direction):
@@ -424,7 +424,6 @@ class TestMachineIntegration:
         assert len(responses) == 1
         response = responses[0]
         assert response.traffic_class is TrafficClass.RESPONSE
-        assert response.dim_order == (0, 1, 2)
         assert response.route is None  # never policy-routed
         # Mesh restriction: hop count is the no-wrap XYZ distance, which
         # on this pair (offset -2 on X minimally) exceeds min_hops.
@@ -443,16 +442,6 @@ class TestMachineIntegration:
         assert packet.route is not None
         assert len(packet.route.phases) == 2
         assert [phase.vc_class for phase in packet.route.phases] == [0, 1]
-
-    def test_pinned_dim_order_bypasses_the_policy(self):
-        machine = NetworkMachine(config=MachineConfig(
-            dims=(2, 2, 2), chip_cols=6, chip_rows=6, seed=9,
-            routing="valiant"))
-        packet = machine.make_request(
-            PacketKind.COUNTED_WRITE, (0, 0, 0), CoreAddress(0, 0, 0),
-            (1, 1, 1), CoreAddress(0, 0, 0), dim_order=(2, 1, 0))
-        assert packet.route is None
-        assert packet.dim_order == (2, 1, 0)
 
     def test_policy_instance_accepted(self):
         torus_policy = make_policy("fixed-xyz", Torus3D((2, 2, 2)))
