@@ -24,10 +24,6 @@ class Interval:
     start_ns: float
     end_ns: float
 
-    @property
-    def duration_ns(self) -> float:
-        return self.end_ns - self.start_ns
-
 
 @dataclass
 class ActivityTrace:

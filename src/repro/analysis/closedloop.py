@@ -91,11 +91,6 @@ class WindowSweepAnalysis:
                 return latency
         raise AssertionError("knee window missing from points")
 
-    @property
-    def zero_window_latency_ns(self) -> float:
-        """Mean transaction latency at the smallest swept window."""
-        return self.points[0][2]
-
     def to_dict(self) -> Dict[str, object]:
         return {
             "pattern": self.pattern,

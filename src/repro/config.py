@@ -99,17 +99,6 @@ class ChipConfig:
     header_bits: int = 64
     payload_bits: int = 128
     max_flits_per_packet: int = 2
-    input_queue_flits: int = 8        # per VC
-
-    # Router pipeline latencies, in core clock cycles (Section III-B).
-    core_u_hop_cycles: int = 2
-    core_v_hop_cycles: int = 5
-    edge_hop_cycles: int = 3
-
-    # Virtual channels (Section III-B2): 4 request VCs + 1 response VC.
-    core_vcs: int = 2
-    edge_request_vcs: int = 4
-    edge_response_vcs: int = 1
 
     # Fence hardware limits (Section V-D).
     max_concurrent_fences: int = 14
@@ -124,11 +113,6 @@ class ChipConfig:
     def cycle_ns(self) -> float:
         """Duration of one core clock cycle in nanoseconds."""
         return 1.0 / self.clock_ghz
-
-    @property
-    def edge_vcs(self) -> int:
-        """Total VCs in the Edge Router (Section III-B2: five)."""
-        return self.edge_request_vcs + self.edge_response_vcs
 
     @property
     def num_gcs(self) -> int:

@@ -63,9 +63,6 @@ class Decomposition:
         grid = np.minimum(grid, dims - 1)
         return (grid[:, 0] * dims[1] + grid[:, 1]) * dims[2] + grid[:, 2]
 
-    def node_coord(self, node_id: int) -> Coord:
-        return self.torus.coord_of(node_id)
-
     def export_masks(self, positions: np.ndarray,
                      cutoff: float) -> np.ndarray:
         """(num_nodes, N) bool: row ``k`` marks the atoms node ``k`` imports.

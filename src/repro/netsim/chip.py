@@ -369,20 +369,3 @@ class ChipNetwork(CoreNetworkHost):
     def channel_adapter(self, direction: Tuple[int, int],
                         slice_index: int) -> ChannelAdapter:
         return self.channel_adapters[(direction, slice_index)]
-
-    def channel_queue_packets(self, direction: Tuple[int, int],
-                              slice_index: Optional[int] = None) -> int:
-        """Packets queued on this node's outgoing channel in ``direction``.
-
-        The local-occupancy signal adaptive routing policies consult at
-        injection; with ``slice_index`` ``None`` both slices are summed
-        (the slice is drawn after the order is chosen).
-        """
-        slices = (0, 1) if slice_index is None else (slice_index,)
-        total = 0
-        for index in slices:
-            ca = self.channel_adapters[(direction, index)]
-            link = ca.output_or_none("channel")
-            if link is not None:
-                total += link.queued
-        return total

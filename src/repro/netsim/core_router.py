@@ -99,23 +99,25 @@ class CoreRouter(Router):
 
     def route(self, packet: Packet, vc: int,
               in_port: str) -> Tuple[str, str, Optional[int]]:
-        out_vc = core_vc(packet)
+        # A packet enters the core network on its :func:`core_vc` (at
+        # injection, or at the Row Adapter from the edge) and keeps that
+        # VC on every core hop: its traffic class never changes in flight.
         net = self._net
         if packet.dst_node == net.coord:
-            return self._route_local(packet, out_vc)
+            return self._route_local(packet, vc)
         # Remote destination: U-only travel toward the exit edge.
         exit_u = net.exit_column(packet)
         if self.u == exit_u:
-            return ("link", "RA", out_vc)
-        return ("link", "U+" if exit_u > self.u else "U-", out_vc)
+            return ("link", "RA", vc)
+        return ("link", "U+" if exit_u > self.u else "U-", vc)
 
     def _route_local(self, packet: Packet,
-                     out_vc: int) -> Tuple[str, str, Optional[int]]:
+                     vc: int) -> Tuple[str, str, Optional[int]]:
         dst = packet.dst_core
         if self.u != dst.tile_u:
-            return ("link", "U+" if dst.tile_u > self.u else "U-", out_vc)
+            return ("link", "U+" if dst.tile_u > self.u else "U-", vc)
         if self.v != dst.tile_v:
-            return ("link", "V+" if dst.tile_v > self.v else "V-", out_vc)
+            return ("link", "V+" if dst.tile_v > self.v else "V-", vc)
         return ("local", f"gc{dst.which}", None)
 
 

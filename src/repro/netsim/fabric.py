@@ -430,7 +430,7 @@ class Router:
         """The link wired to ``port``, or ``None`` before wiring (or,
         for a mesh link, before its first use).
 
-        For observers (statistics, congestion probes) that must tolerate
+        For observers (statistics, monitors) that must tolerate
         partially wired fabrics without the FabricError of
         :meth:`output`, and must not build links.
         """

@@ -189,20 +189,12 @@ class NetworkMachine:
     def plan_request_route(self, src_node: Coord, dst_node: Coord,
                            rng: Optional[random.Random] = None,
                            src_core: Optional[CoreAddress] = None) -> RoutePlan:
-        """The routing policy's plan for one request, drawn from ``rng``.
-
-        The machine's chips supply the local congestion probe adaptive
-        policies consult (outgoing-channel queue depth at the source);
-        ``src_core`` keys the per-source VC-class spread.
-        """
+        """The routing policy's plan for one request, drawn from ``rng``;
+        ``src_core`` keys the per-source VC-class spread."""
         rng = rng or self.rng
         return self.routing.make_plan(
             self.torus.normalize(src_node), self.torus.normalize(dst_node),
-            rng, congestion=self._channel_congestion, source=src_core)
-
-    def _channel_congestion(self, node: Coord,
-                            direction: Tuple[int, int]) -> float:
-        return float(self.chips[node].channel_queue_packets(direction))
+            rng, source=src_core)
 
     def make_request(self, kind: PacketKind, src_node: Coord,
                      src_core: CoreAddress, dst_node: Coord,

@@ -80,10 +80,6 @@ class PacketTracer:
         """Record an instantaneous lifecycle marker."""
         self.span(trace_id, kind, ns, ns, **args)
 
-    @property
-    def span_count(self) -> int:
-        return len(self._spans)
-
     def jsonable(self) -> Dict[str, object]:
         """The trace layer as a JSON-able mapping (spans in record order).
 

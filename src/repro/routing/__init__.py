@@ -18,8 +18,6 @@ Policies:
   the six orders uniformly at random per packet.
 * ``valiant`` — non-minimal: two minimal phases via a uniformly random
   intermediate node, on disjoint VC classes.
-* ``adaptive-lite`` — the least-congested minimal order at injection,
-  judged from local channel occupancy; ties break randomly.
 * ``adaptive-escape`` — true per-hop adaptivity: any productive
   direction chosen per hop from downstream adaptive-VC credit and
   occupancy, a capped misroute budget, and a Duato-style fallback onto
@@ -42,7 +40,6 @@ from __future__ import annotations
 from typing import Tuple
 
 from ..topology.torus import Torus3D
-from .adaptive import AdaptiveLitePolicy
 from .escape import (
     AdaptiveEscapePolicy,
     AdaptiveVcProbe,
@@ -51,7 +48,6 @@ from .escape import (
 )
 from .oblivious import FixedXYZPolicy, RandomizedMinimalPolicy
 from .policy import (
-    CongestionProbe,
     RouteHop,
     RoutePhase,
     RoutePlan,
@@ -65,9 +61,7 @@ from .valiant import ValiantPolicy
 
 __all__ = [
     "AdaptiveEscapePolicy",
-    "AdaptiveLitePolicy",
     "AdaptiveVcProbe",
-    "CongestionProbe",
     "DEFAULT_MISROUTE_BUDGET",
     "DEFAULT_POLICY",
     "FixedXYZPolicy",
@@ -91,7 +85,6 @@ _FACTORIES = {
     FixedXYZPolicy.name: FixedXYZPolicy,
     RandomizedMinimalPolicy.name: RandomizedMinimalPolicy,
     ValiantPolicy.name: ValiantPolicy,
-    AdaptiveLitePolicy.name: AdaptiveLitePolicy,
     AdaptiveEscapePolicy.name: AdaptiveEscapePolicy,
 }
 

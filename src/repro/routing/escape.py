@@ -1,9 +1,9 @@
 """True per-hop adaptive routing with a Duato-style escape VC layer.
 
-``adaptive-lite`` (PR 3) stopped short of real adaptivity: it picks one
-minimal order at injection because re-choosing directions mid-flight on
-a torus is only deadlock-free with extra machinery.  This module adds
-that machinery.  Each link's VC set is split into two layers:
+The oblivious policies commit to one minimal order at injection,
+because re-choosing directions mid-flight on a torus is only
+deadlock-free with extra machinery.  This module adds that machinery.
+Each link's VC set is split into two layers:
 
 * **Adaptive layer** — the dedicated adaptive VC
   (:data:`repro.netsim.packet.ADAPTIVE_VC`).  On it a packet may take
@@ -50,7 +50,13 @@ import random
 from typing import Callable, List, Optional, Tuple
 
 from ..topology.torus import Coord, Torus3D
-from .policy import RoutePhase, RoutePlan, RoutingPolicy, source_vc_class
+from .policy import (
+    RoutePhase,
+    RoutePlan,
+    RoutingPolicy,
+    source_vc_class,
+    spread_reroute_choice,
+)
 
 __all__ = [
     "AdaptiveEscapePolicy",
@@ -260,7 +266,7 @@ class AdaptiveEscapePolicy(RoutingPolicy):
         self.max_misroutes = max_misroutes
 
     def make_plan(self, src: Coord, dst: Coord, rng: random.Random,
-                  congestion=None, source=None) -> RoutePlan:
+                  source=None) -> RoutePlan:
         """A single adaptive phase whose escape route is XYZ minimal.
 
         All load-dependent choice happens per hop in
@@ -279,9 +285,6 @@ class AdaptiveEscapePolicy(RoutingPolicy):
             max_misroutes=self.max_misroutes,
         )
 
-    def reroute_choice(self, options, rng):
-        """Degraded-mode escape hops spread over the live options; the
-        adaptive layer's credit scoring happens before this is reached."""
-        if rng is None or len(options) == 1:
-            return options[0]
-        return options[rng.randrange(len(options))]
+    # Degraded-mode escape hops; the adaptive layer's credit scoring
+    # happens before this is reached.
+    reroute_choice = spread_reroute_choice

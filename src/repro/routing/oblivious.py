@@ -21,15 +21,14 @@ keeps the fig5/fig11 results unchanged.
 from __future__ import annotations
 
 import random
-from typing import Optional
 
 from ..topology.torus import DIMENSION_ORDERS, Coord
 from .policy import (
-    CongestionProbe,
     RoutePhase,
     RoutePlan,
     RoutingPolicy,
     source_vc_class,
+    spread_reroute_choice,
 )
 
 __all__ = ["FixedXYZPolicy", "RandomizedMinimalPolicy"]
@@ -46,7 +45,6 @@ class FixedXYZPolicy(RoutingPolicy):
     name = "fixed-xyz"
 
     def make_plan(self, src: Coord, dst: Coord, rng: random.Random,
-                  congestion: Optional[CongestionProbe] = None,
                   source=None) -> RoutePlan:
         return RoutePlan(policy=self.name, phases=(
             RoutePhase(target=self.torus.normalize(dst),
@@ -68,16 +66,11 @@ class RandomizedMinimalPolicy(RoutingPolicy):
     name = "randomized-minimal"
 
     def make_plan(self, src: Coord, dst: Coord, rng: random.Random,
-                  congestion: Optional[CongestionProbe] = None,
                   source=None) -> RoutePlan:
         order = rng.choice(DIMENSION_ORDERS)
         return RoutePlan(policy=self.name, phases=(
             RoutePhase(target=self.torus.normalize(dst), dim_order=order,
                        vc_class=source_vc_class(source)),))
 
-    def reroute_choice(self, options, rng):
-        """Spread degraded-mode hops uniformly over the live options —
-        the randomized flavor, kept under faults."""
-        if rng is None or len(options) == 1:
-            return options[0]
-        return options[rng.randrange(len(options))]
+    # The randomized flavor, kept under faults.
+    reroute_choice = spread_reroute_choice

@@ -37,23 +37,23 @@ Invariants tests (and the cache-versioned experiments) rely on:
   never do: they are forced XYZ, mesh-restricted, on the single
   response VC.
 * A policy's ``make_plan`` is a deterministic function of ``(src, dst,
-  rng draws, congestion observations)``, and the per-hop walker draws
-  only from the caller-provided ``rng``/``probe`` — so runner sweeps
-  stay byte-identical across process fan-out.
-* Per-hop adaptivity lives in :mod:`repro.routing.escape`; plans with
-  ``adaptive=False`` never consult the probe and never misroute.
+  source, rng draws)``: no plan reads network state, and the per-hop
+  walker draws only from the caller-provided ``rng``/``probe`` — so
+  runner sweeps stay byte-identical across process fan-out.
+* Load-dependent choice happens only per hop, in
+  :mod:`repro.routing.escape`; plans with ``adaptive=False`` never
+  consult the probe and never misroute.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from ..topology.torus import Coord, Torus3D
 
 __all__ = [
-    "CongestionProbe",
     "RouteHop",
     "RoutePhase",
     "RoutePlan",
@@ -63,11 +63,6 @@ __all__ = [
     "source_vc_class",
     "trace_route",
 ]
-
-#: Local congestion oracle: ``(node, (axis, sign)) -> occupancy`` of the
-#: node's outgoing channel in that direction (e.g. queued packets).
-CongestionProbe = Callable[[Coord, Tuple[int, int]], float]
-
 
 def source_vc_class(source) -> int:
     """Deterministic request VC class (0/1) for a traffic source.
@@ -158,14 +153,12 @@ class RoutingPolicy:
         self.torus = torus
 
     def make_plan(self, src: Coord, dst: Coord, rng: random.Random,
-                  congestion: Optional[CongestionProbe] = None,
                   source=None) -> RoutePlan:
         """The plan for one packet from ``src`` to ``dst``.
 
         ``rng`` is the caller's deterministic stream (policies must draw
-        from it, never from module state); ``congestion`` is the local
-        occupancy oracle adaptive policies may consult; ``source`` is
-        the injecting endpoint (for :func:`source_vc_class`).
+        from it, never from module state); ``source`` is the injecting
+        endpoint (for :func:`source_vc_class`).
         """
         raise NotImplementedError
 
@@ -177,10 +170,20 @@ class RoutingPolicy:
         (nonempty, DIRECTIONS-ordered) set of directions that strictly
         decrease live-graph distance; never with healthy fabrics.  The
         base picks the first — the deterministic flavor of fixed
-        dimension-order policies; randomized/adaptive policies override
-        to spread load over the options via ``rng``.
+        dimension-order policies; randomized/adaptive policies set it to
+        :func:`spread_reroute_choice`.
         """
         return options[0]
+
+
+def spread_reroute_choice(policy: RoutingPolicy,
+                          options: List[Tuple[int, int]],
+                          rng: Optional[random.Random]) -> Tuple[int, int]:
+    """``reroute_choice`` that spreads degraded-mode hops uniformly over
+    the live options via ``rng`` (the first without one)."""
+    if rng is None or len(options) == 1:
+        return options[0]
+    return options[rng.randrange(len(options))]
 
 
 # ---------------------------------------------------------------------------

@@ -20,10 +20,9 @@ dependency graph stays acyclic (see :mod:`repro.routing.policy`).
 from __future__ import annotations
 
 import random
-from typing import Optional
 
 from ..topology.torus import DIMENSION_ORDERS, Coord, Torus3D
-from .policy import CongestionProbe, RoutePhase, RoutePlan, RoutingPolicy
+from .policy import RoutePhase, RoutePlan, RoutingPolicy
 
 __all__ = ["ValiantPolicy"]
 
@@ -38,7 +37,6 @@ class ValiantPolicy(RoutingPolicy):
         self._nodes = list(torus.nodes())
 
     def make_plan(self, src: Coord, dst: Coord, rng: random.Random,
-                  congestion: Optional[CongestionProbe] = None,
                   source=None) -> RoutePlan:
         mid = self._nodes[rng.randrange(len(self._nodes))]
         # Each phase randomizes its dimension order independently, like

@@ -181,7 +181,6 @@ ROUTE_ABLATION_POLICIES = (
     "fixed-xyz",
     "randomized-minimal",
     "valiant",
-    "adaptive-lite",
     "adaptive-escape",
 )
 

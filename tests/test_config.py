@@ -1,8 +1,21 @@
-"""Tests for the published machine constants (Table I and Section II)."""
+"""Tests for the published machine constants (Table I, Sections II-III)."""
 
 import pytest
 
 from repro.config import ASIC_GENERATIONS, DEFAULT_CHIP
+from repro.netsim.fabric import INPUT_QUEUE_FLITS
+from repro.netsim.packet import (
+    ADAPTIVE_VC,
+    NUM_LINK_VCS,
+    RESPONSE_VC,
+    CoreAddress,
+    Packet,
+    PacketKind,
+    TrafficClass,
+    link_vc,
+)
+from repro.netsim.params import LatencyParams
+from repro.routing import RoutePhase, RoutePlan
 
 
 class TestTableOne:
@@ -43,9 +56,28 @@ class TestChipConfig:
     def test_cycle_time(self):
         assert DEFAULT_CHIP.cycle_ns == pytest.approx(1 / 2.8)
 
-    def test_edge_vcs_total_five(self):
-        # 4 request VCs + 1 response VC (Section III-B2).
-        assert DEFAULT_CHIP.edge_vcs == 5
+    def test_link_vcs_four_requests_below_response(self):
+        # 4 request VCs + 1 response VC (Section III-B2); the simulator
+        # adds its adaptive VC above them.
+        assert (RESPONSE_VC, ADAPTIVE_VC, NUM_LINK_VCS) == (4, 5, 6)
+        escape = set()
+        for vc_class in (0, 1):
+            plan = RoutePlan(policy="test", phases=(RoutePhase(
+                target=(1, 0, 0), dim_order=(0, 1, 2), vc_class=vc_class),))
+            for dateline in (False, True):
+                packet = Packet(PacketKind.COUNTED_WRITE, TrafficClass.REQUEST,
+                                (0, 0, 0), (1, 0, 0), CoreAddress(0, 0),
+                                CoreAddress(0, 0), route=plan,
+                                crossed_dateline=dateline)
+                escape.add(link_vc(packet))
+        assert escape == set(range(RESPONSE_VC))
+
+    def test_router_pipeline_cycles(self):
+        # Section III-B: two cycles per U hop, five per V hop in the
+        # Core Router, three per Edge Router hop.
+        params = LatencyParams()
+        assert (params.core_u_cycles, params.core_v_cycles,
+                params.edge_hop_cycles) == (2, 5, 3)
 
     def test_neighbor_bandwidth(self):
         # 16 lanes x 29 Gb/s = 464 Gb/s per direction per neighbor.
@@ -68,5 +100,5 @@ class TestChipConfig:
         assert chip.flit_bits == 192
         assert chip.header_bits + chip.payload_bits == chip.flit_bits
         assert chip.max_flits_per_packet == 2
-        assert chip.input_queue_flits == 8
+        assert INPUT_QUEUE_FLITS == 8  # per VC
 

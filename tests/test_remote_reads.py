@@ -9,6 +9,8 @@ crossing) so one VC suffices for deadlock freedom.
 import pytest
 
 from repro.netsim import (
+    CORE_VC_REQUEST,
+    CORE_VC_RESPONSE,
     CoreAddress,
     MachineConfig,
     NetworkMachine,
@@ -67,6 +69,22 @@ class TestRemoteRead:
         # A torus-minimal route would be 1 X-hop; the mesh route takes 2.
         x_hops = response.torus_hops_taken
         assert x_hops >= machine.torus.min_hops((2, 1, 1), (0, 0, 0))
+
+    def test_core_network_splits_requests_and_responses(self, machine,
+                                                        hop_recorder):
+        """Section III-B1's two core VCs: every core-router arrival of a
+        request rides the request VC, of a response the response VC —
+        from the injecting TRTR, the Row Adapter and every mesh hop."""
+        request, __, response = do_read(machine, (0, 0, 0), (1, 1, 0),
+                                        reply=15)
+        for packet, vc in ((request, CORE_VC_REQUEST),
+                           (response, CORE_VC_RESPONSE)):
+            core = [(hop, arrival) for hop, arrival
+                    in hop_recorder.arrivals(packet)
+                    if hop.startswith("core(")]
+            ports = {hop[hop.index("[") + 1:-1] for hop, __ in core}
+            assert {"inject", "RA"} <= ports and len(ports) >= 3
+            assert all(arrival == vc for __, arrival in core), core
 
     def test_response_uses_response_vc_on_channels(self, machine):
         before = machine.channel_vc_packets()

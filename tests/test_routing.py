@@ -56,6 +56,8 @@ def torus():
 
 class TestRegistry:
     def test_all_policies_construct(self, torus):
+        assert POLICY_NAMES == ("adaptive-escape", "fixed-xyz",
+                                "randomized-minimal", "valiant")
         for name in POLICY_NAMES:
             policy = make_policy(name, torus)
             assert isinstance(policy, RoutingPolicy)
@@ -86,7 +88,7 @@ class TestRouteShape:
 
     @pytest.mark.parametrize("name",
                              ["fixed-xyz", "randomized-minimal",
-                              "adaptive-lite", "adaptive-escape"])
+                              "adaptive-escape"])
     def test_minimal_policies_take_minimal_routes(self, torus, name):
         policy = make_policy(name, torus)
         rng = random.Random(11)
@@ -166,34 +168,6 @@ class TestVcDiscipline:
         packet = request_packet((0, 0, 0), (1, 0, 0), plan)
         hops, final = trace_route(packet, torus)
         assert final == (1, 0, 0) and len(hops) == 1
-
-
-class TestAdaptiveLite:
-    def test_avoids_congested_first_hop(self, torus):
-        policy = make_policy("adaptive-lite", torus)
-        # Make every X first hop look congested; Y/Z first hops are free.
-        def congestion(node, direction):
-            return 9.0 if direction[0] == 0 else 0.0
-        rng = random.Random(3)
-        for __ in range(20):
-            plan = policy.make_plan((0, 0, 0), (1, 1, 1), rng,
-                                    congestion=congestion)
-            assert plan.phases[0].dim_order[0] != 0
-
-    def test_degrades_to_randomized_when_uncongested(self, torus):
-        policy = make_policy("adaptive-lite", torus)
-        rng = random.Random(5)
-        orders = {policy.make_plan((0, 0, 0), (1, 1, 1), rng,
-                                   congestion=lambda n, d: 0.0
-                                   ).phases[0].dim_order
-                  for __ in range(60)}
-        assert len(orders) == 6  # all six orders remain in play
-
-    def test_machine_probe_reports_queued_channel_packets(self):
-        machine = NetworkMachine(config=MachineConfig(
-            dims=(2, 1, 1), chip_cols=6, chip_rows=6, seed=3,
-            routing="adaptive-lite"))
-        assert machine._channel_congestion((0, 0, 0), (0, 1)) == 0.0
 
 
 def free_probe(coord, direction):
